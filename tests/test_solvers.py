@@ -142,6 +142,29 @@ def test_momentum_beta_zero_bitwise_reduction():
     assert res_a.rse == res_b.rse
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_run_matches_public_step_replay(method):
+    # the per-call step functions are the reference for the driver: k steps
+    # on one stream give the run's iterate bit for bit.  k is long enough to
+    # cross a boundary of a driver that draws indices in blocks of 4096.
+    from rdr_lab import solvers
+
+    step = getattr(solvers, method.replace("-", "_") + "_step")
+    k = 4096 + 7
+    problem = synthetic_problem(12, 5, seed=64)
+    cfg = SolverConfig(method=method, r=3, alpha=0.5, beta=0.3, seed=2718,
+                       stop=StopRule(rse_tol=None, max_iterations=k),
+                       trace_every=50)
+    res = run(problem, cfg)
+    state = init_state(problem, cfg)
+    rng = Rng(cfg.seed)
+    for _ in range(k):
+        step(state, problem, cfg, rng)
+    assert res.iterations == state.k == k
+    assert res.row_actions == state.row_actions
+    np.testing.assert_array_equal(res.x, state.x)
+
+
 def test_deterministic_replay():
     problem = synthetic_problem(25, 10, seed=31)
     cfg = SolverConfig(method="mrrdr", r=3, alpha=0.5, beta=0.3, seed=404,
