@@ -93,7 +93,7 @@ def _cmd_rates(args) -> int:
         spec = parse_config_file(path)
         from .sampling import Rng
         problem = build_problem(spec.problem, Rng(spec.seed).child(0).seed)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a problem the build rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -90,16 +90,24 @@ class WeightedSampler:
         self.weights = w
         self.cumulative_weights = np.cumsum(w)
         self.total = float(self.cumulative_weights[-1])
+        # u * total rounds up to total when the total is subnormal; searching
+        # only the bounds below the last positive weight clamps such a draw
+        # to that index and leaves every other draw as it was
+        self._bounds = self.cumulative_weights[:np.flatnonzero(w > 0.0)[-1]]
 
     def sample(self, rng: Rng) -> int:
         u = rng.uniform() * self.total
-        return int(np.searchsorted(self.cumulative_weights, u, side="right"))
+        return int(np.searchsorted(self._bounds, u, side="right"))
 
     def sample_many(self, rng: Rng, size: int) -> np.ndarray:
         """``size`` i.i.d. draws; consumes the stream exactly like ``size``
         successive :meth:`sample` calls."""
-        u = rng.uniform(size) * self.total
-        return np.searchsorted(self.cumulative_weights, u, side="right")
+        return self.lookup(rng.uniform(size))
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """The indices that the uniform draws ``u`` select, as
+        :meth:`sample_many` maps its own draws."""
+        return np.searchsorted(self._bounds, u * self.total, side="right")
 
     def __len__(self):
         return self.weights.size

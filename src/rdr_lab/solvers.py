@@ -10,8 +10,9 @@ trace format.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +24,7 @@ METHODS = ("rrdr", "mrrdr", "rk", "rek", "rgs", "cyclic-dr", "det-rsets-dr",
 
 DIVERGENCE_RSE = 1e6
 RGS_RECOMPUTE_EVERY = 10 ** 4
+DRAW_BLOCK = 4096  # indices run() draws per call to a sampler
 
 
 @dataclass
@@ -95,6 +97,8 @@ class SolverState:
     cyclic_cursor: int = 0
     z_last: np.ndarray | None = None    # last reflected point, for diagnostics
     rgs_steps_since_refresh: int = 0
+    # the problem's operands, set by init_state; ties the state to that problem
+    operands: _Operands | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -118,134 +122,174 @@ class RunResult:
     state: SolverState
 
 
+class _Operands:
+    """A problem's operands as the updates read them fastest: row and column
+    views of ``A``, Python floats, and a scratch vector of each length."""
+
+    def __init__(self, problem: Problem):
+        A = problem.A
+        self.rows, self.cols = list(A.entries), list(A.entries.T)
+        self.b, self.rn = problem.b.tolist(), A.row_norms_sq.tolist()
+        self.cn = A.col_norms_sq.tolist()
+        self.tmp_n, self.tmp_m = np.empty(A.n), np.empty(A.m)
+
+
 # ---------------------------------------------------------------------------
-# step functions
+# updates: one iteration given the indices it drew, shared by the public
+# step functions and by run
 # ---------------------------------------------------------------------------
 
 
-def rrdr_step(state: SolverState, problem: Problem, config: SolverConfig,
-              rng: Rng) -> SolverState:
-    """One iteration: r sampled reflections, then alpha-averaging."""
-    A = problem.A
-    rows = problem.row_sampler.sample_many(rng, config.r)
-    arr, rn, b = A.entries, A.row_norms_sq, problem.b
-    z = state.x.copy()
-    for j in rows:
-        a = arr[j]
-        z -= (2.0 * (a @ z - b[j]) / rn[j]) * a
-    state.z_last = z
-    state.x = (1.0 - config.alpha) * state.x + config.alpha * z
-    state.k += 1
-    state.row_actions += config.r
-    return state
-
-
-def mrrdr_step(state: SolverState, problem: Problem, config: SolverConfig,
-               rng: Rng) -> SolverState:
-    """Momentum variant: the averaged step plus beta times the last move."""
-    A = problem.A
-    rows = problem.row_sampler.sample_many(rng, config.r)
-    arr, rn, b = A.entries, A.row_norms_sq, problem.b
+def _dr_update(state: SolverState, rows, alpha: float,
+               beta: float | None) -> SolverState:
+    """Reflect through ``rows`` in order, then average with weight alpha;
+    unless ``beta`` is None, add beta times the last move."""
+    ops = state.operands
+    a_rows, b, rn, tmp = ops.rows, ops.b, ops.rn, ops.tmp_n
     x = state.x
     z = x.copy()
     for j in rows:
-        a = arr[j]
-        z -= (2.0 * (a @ z - b[j]) / rn[j]) * a
-    state.z_last = z
-    # with beta = 0 the momentum term is exactly zero and the trajectory
-    # matches the plain method bit for bit
-    state.x = ((1.0 - config.alpha) * x + config.alpha * z) \
-        + config.beta * (x - state.x_prev)
-    state.x_prev = x
+        a = a_rows[j]
+        np.multiply(a, 2.0 * (float(a.dot(z)) - b[j]) / rn[j], tmp)
+        z -= tmp
+    out = np.multiply(x, 1.0 - alpha)
+    np.multiply(z, alpha, tmp)
+    out += tmp
+    if beta is not None:
+        # with beta = 0 the momentum term is exactly zero and the trajectory
+        # matches the plain method bit for bit
+        np.subtract(x, state.x_prev, tmp)
+        tmp *= beta
+        out += tmp
+        state.x_prev = x
+    state.x, state.z_last = out, z
     state.k += 1
-    state.row_actions += config.r
+    state.row_actions += len(rows)
     return state
 
 
-def rk_step(state: SolverState, problem: Problem, config: SolverConfig,
-            rng: Rng) -> SolverState:
-    """Randomized Kaczmarz: project onto one norm-weighted sampled row."""
-    A = problem.A
-    j = problem.row_sampler.sample(rng)
-    a = A.entries[j]
-    state.x = state.x - ((a @ state.x - problem.b[j]) / A.row_norms_sq[j]) * a
+def _cyclic_rows(state: SolverState, m: int):
+    """The next two consecutive rows in cyclic order; advances the cursor."""
+    i = state.cyclic_cursor
+    state.cyclic_cursor = (i + 1) % m
+    return (i, state.cyclic_cursor)
+
+
+def _rk_update(state: SolverState, j) -> SolverState:
+    ops = state.operands
+    a = ops.rows[j]
+    np.multiply(a, (float(a.dot(state.x)) - ops.b[j]) / ops.rn[j], ops.tmp_n)
+    state.x -= ops.tmp_n
     state.k += 1
     state.row_actions += 1
     return state
 
 
-def rek_step(state: SolverState, problem: Problem, config: SolverConfig,
-             rng: Rng) -> SolverState:
-    """Extended Kaczmarz: one column step on the auxiliary sequence, then one
-    row projection against the corrected right-hand side."""
-    A = problem.A
-    arr = A.entries
-    j = problem.col_sampler.sample(rng)
-    col = arr[:, j]
-    z = state.z_aux
-    z -= ((col @ z) / A.col_norms_sq[j]) * col
-    i = problem.row_sampler.sample(rng)
-    a = arr[i]
-    state.x = state.x - ((a @ state.x - problem.b[i] + z[i]) / A.row_norms_sq[i]) * a
+def _rek_update(state: SolverState, j, i) -> SolverState:
+    ops = state.operands
+    col, z = ops.cols[j], state.z_aux
+    np.multiply(col, float(col.dot(z)) / ops.cn[j], ops.tmp_m)
+    z -= ops.tmp_m
+    a = ops.rows[i]
+    c = (float(a.dot(state.x)) - ops.b[i] + float(z[i])) / ops.rn[i]
+    np.multiply(a, c, ops.tmp_n)
+    state.x -= ops.tmp_n
     state.k += 1
     state.row_actions += 2  # one column touch plus one row touch
     return state
 
 
-def rgs_step(state: SolverState, problem: Problem, config: SolverConfig,
-             rng: Rng) -> SolverState:
-    """Randomized Gauss-Seidel / coordinate descent on the least-squares
-    objective, with an incrementally maintained residual."""
-    A = problem.A
-    j = problem.col_sampler.sample(rng)
-    col = A.entries[:, j]
-    delta = -(col @ state.residual) / A.col_norms_sq[j]
+def _rgs_update(state: SolverState, j, problem: Problem) -> SolverState:
+    ops = state.operands
+    col = ops.cols[j]
+    delta = -float(col.dot(state.residual)) / ops.cn[j]
     state.x[j] += delta
-    state.residual += delta * col
+    np.multiply(col, delta, ops.tmp_m)
+    state.residual += ops.tmp_m
     state.rgs_steps_since_refresh += 1
     if state.rgs_steps_since_refresh >= RGS_RECOMPUTE_EVERY:
         # cap incremental drift with a periodic full recompute
-        state.residual = A.entries @ state.x - problem.b
+        state.residual = problem.A.entries @ state.x - problem.b
         state.rgs_steps_since_refresh = 0
     state.k += 1
     state.row_actions += 1
     return state
 
 
+def _rp_admm_update(state: SolverState, perm, penalty: float,
+                    problem: Problem) -> SolverState:
+    ops = state.operands
+    x, res, tmp = state.x, state.residual, ops.tmp_m
+    mu_over_pen = state.mu / penalty
+    for j in perm:
+        if ops.cn[j] == 0.0:
+            warnings.warn("rp-admm: skipping zero column", stacklevel=3)
+            continue
+        col = ops.cols[j]
+        delta = -(float(col.dot(res)) - float(col.dot(mu_over_pen))) / ops.cn[j]
+        x[j] += delta
+        np.multiply(col, delta, tmp)
+        res += tmp
+    # refresh before the multiplier step so incremental drift cannot build up
+    state.residual = problem.A.entries @ x - problem.b
+    state.mu -= state.residual
+    state.k += 1
+    state.row_actions += len(perm)
+    return state
+
+
+# ---------------------------------------------------------------------------
+# step functions: draw one iteration's indices, then apply its update
+# ---------------------------------------------------------------------------
+
+
+def rrdr_step(state: SolverState, problem: Problem, config: SolverConfig,
+              rng: Rng) -> SolverState:
+    """One iteration: r sampled reflections, then alpha-averaging."""
+    rows = problem.row_sampler.sample_many(rng, config.r)
+    return _dr_update(state, rows, config.alpha, None)
+
+
+def mrrdr_step(state: SolverState, problem: Problem, config: SolverConfig,
+               rng: Rng) -> SolverState:
+    """Momentum variant: the averaged step plus beta times the last move."""
+    rows = problem.row_sampler.sample_many(rng, config.r)
+    return _dr_update(state, rows, config.alpha, config.beta)
+
+
+def rk_step(state: SolverState, problem: Problem, config: SolverConfig,
+            rng: Rng) -> SolverState:
+    """Randomized Kaczmarz: project onto one norm-weighted sampled row."""
+    return _rk_update(state, problem.row_sampler.sample(rng))
+
+
+def rek_step(state: SolverState, problem: Problem, config: SolverConfig,
+             rng: Rng) -> SolverState:
+    """Extended Kaczmarz: one column step on the auxiliary sequence, then one
+    row projection against the corrected right-hand side."""
+    j = problem.col_sampler.sample(rng)
+    return _rek_update(state, j, problem.row_sampler.sample(rng))
+
+
+def rgs_step(state: SolverState, problem: Problem, config: SolverConfig,
+             rng: Rng) -> SolverState:
+    """Randomized Gauss-Seidel / coordinate descent on the least-squares
+    objective, with an incrementally maintained residual."""
+    return _rgs_update(state, problem.col_sampler.sample(rng), problem)
+
+
 def cyclic_dr_step(state: SolverState, problem: Problem, config: SolverConfig,
                    rng: Rng) -> SolverState:
     """Cyclic Douglas-Rachford: reflect through two consecutive rows in cyclic
     order, then average."""
-    A = problem.A
-    arr, rn, b = A.entries, A.row_norms_sq, problem.b
-    i1 = state.cyclic_cursor
-    i2 = (i1 + 1) % A.m
-    z = state.x.copy()
-    for j in (i1, i2):
-        a = arr[j]
-        z -= (2.0 * (a @ z - b[j]) / rn[j]) * a
-    state.z_last = z
-    state.x = (1.0 - config.alpha) * state.x + config.alpha * z
-    state.cyclic_cursor = (i1 + 1) % A.m
-    state.k += 1
-    state.row_actions += 2
-    return state
+    return _dr_update(state, _cyclic_rows(state, problem.A.m), config.alpha,
+                      None)
 
 
 def det_rsets_dr_step(state: SolverState, problem: Problem, config: SolverConfig,
                       rng: Rng) -> SolverState:
     """Deterministic variant: compose all m reflections in index order."""
-    A = problem.A
-    arr, rn, b = A.entries, A.row_norms_sq, problem.b
-    z = state.x.copy()
-    for j in range(A.m):
-        a = arr[j]
-        z -= (2.0 * (a @ z - b[j]) / rn[j]) * a
-    state.z_last = z
-    state.x = (1.0 - config.alpha) * state.x + config.alpha * z
-    state.k += 1
-    state.row_actions += A.m
-    return state
+    return _dr_update(state, range(problem.A.m), config.alpha, None)
 
 
 def rp_admm_step(state: SolverState, problem: Problem, config: SolverConfig,
@@ -256,27 +300,8 @@ def rp_admm_step(state: SolverState, problem: Problem, config: SolverConfig,
     partially updated values, then the multiplier takes a unit step along the
     constraint residual.
     """
-    A = problem.A
-    arr = A.entries
-    cn = A.col_norms_sq
-    pen = config.penalty
-    res = state.residual
-    mu_over_pen = state.mu / pen
-    perm = rng.permutation(A.n)
-    for j in perm:
-        if cn[j] == 0.0:
-            warnings.warn("rp-admm: skipping zero column", stacklevel=2)
-            continue
-        col = arr[:, j]
-        delta = -(col @ res - col @ mu_over_pen) / cn[j]
-        state.x[j] += delta
-        res += delta * col
-    # refresh before the multiplier step so incremental drift cannot build up
-    state.residual = arr @ state.x - problem.b
-    state.mu -= state.residual
-    state.k += 1
-    state.row_actions += A.n
-    return state
+    return _rp_admm_update(state, rng.permutation(problem.A.n), config.penalty,
+                           problem)
 
 
 _STEPS = {
@@ -289,6 +314,46 @@ _STEPS = {
     "det-rsets-dr": det_rsets_dr_step,
     "rp-admm": rp_admm_step,
 }
+
+
+def _iterations(state: SolverState, problem: Problem, config: SolverConfig,
+                rng: Rng):
+    """Apply one iteration per resume, as the method's step function would.
+    Indices are drawn in blocks of about ``DRAW_BLOCK``: a PCG64 block
+    consumes the stream exactly like as many successive scalar draws."""
+    method, r, alpha = config.method, config.r, config.alpha
+    m, n = problem.A.shape
+    if method == "rk":
+        while True:
+            for j in problem.row_sampler.sample_many(rng, DRAW_BLOCK).tolist():
+                yield _rk_update(state, j)
+    elif method == "rgs":
+        while True:
+            for j in problem.col_sampler.sample_many(rng, DRAW_BLOCK).tolist():
+                yield _rgs_update(state, j, problem)
+    elif method == "rek":
+        while True:
+            u = rng.uniform(2 * DRAW_BLOCK)  # a column draw, then a row draw
+            for j, i in zip(problem.col_sampler.lookup(u[0::2]).tolist(),
+                            problem.row_sampler.lookup(u[1::2]).tolist()):
+                yield _rek_update(state, j, i)
+    elif method == "rp-admm":
+        while True:
+            yield _rp_admm_update(state, rng.permutation(n).tolist(),
+                                  config.penalty, problem)
+    elif method in ("rrdr", "mrrdr"):
+        beta = config.beta if method == "mrrdr" else None
+        while True:
+            block = problem.row_sampler.sample_many(
+                rng, r * max(1, DRAW_BLOCK // r)).tolist()
+            for i in range(0, len(block), r):
+                yield _dr_update(state, block[i:i + r], alpha, beta)
+    elif method == "cyclic-dr":
+        while True:
+            yield _dr_update(state, _cyclic_rows(state, m), alpha, None)
+    else:  # det-rsets-dr
+        while True:
+            yield _dr_update(state, range(m), alpha, None)
 
 
 def _rank_at_least_two(A) -> bool:
@@ -314,7 +379,7 @@ def _rank_at_least_two(A) -> bool:
 def init_state(problem: Problem, config: SolverConfig) -> SolverState:
     """Per-method state setup from the problem's start point."""
     x = problem.x0.astype(np.float64).copy()
-    state = SolverState(x=x)
+    state = SolverState(x=x, operands=_Operands(problem))
     if config.method == "mrrdr":
         state.x_prev = x.copy()  # cold start: previous iterate equals x0
     if config.method == "rek":
@@ -326,6 +391,15 @@ def init_state(problem: Problem, config: SolverConfig) -> SolverState:
     return state
 
 
+def _record(state: SolverState, problem: Problem, metrics_fn, rse: float):
+    rec = TraceRecord(k=state.k, row_actions=state.row_actions, rse=rse)
+    resid = problem.A.entries @ state.x - problem.b
+    rec.residual_norm2 = float(np.sqrt(resid @ resid))
+    if metrics_fn is not None:
+        rec.dir_ratio, rec.vmin_overlap = metrics_fn(state.x)
+    return rec
+
+
 def run(problem: Problem, config: SolverConfig, metrics_fn=None) -> RunResult:
     """Drive one solver trial to its stopping rule.
 
@@ -333,7 +407,9 @@ def run(problem: Problem, config: SolverConfig, metrics_fn=None) -> RunResult:
     ----------
     problem : Problem
     config : SolverConfig
-        ``config.seed`` fixes the trajectory completely.
+        ``config.seed`` fixes the trajectory completely: it is the one that
+        ``init_state`` and successive calls of the method's step function on
+        ``Rng(config.seed)`` give.
     metrics_fn : callable, optional
         Maps the current iterate to ``(dir_ratio, vmin_overlap)``; attached
         to trace records when given.
@@ -345,8 +421,7 @@ def run(problem: Problem, config: SolverConfig, metrics_fn=None) -> RunResult:
         The relative squared error (RSE) is measured against the projection
         of the start point onto the solution set.
     """
-    step = _STEPS.get(config.method)
-    if step is None:
+    if config.method not in _STEPS:
         raise ValueError(f"unknown method: {config.method}")
     if config.method in ("rrdr", "mrrdr") and config.r % 2 == 0 \
             and not _rank_at_least_two(problem.A):
@@ -357,62 +432,48 @@ def run(problem: Problem, config: SolverConfig, metrics_fn=None) -> RunResult:
     rng = Rng(config.seed)
     state = init_state(problem, config)
     x0_star = problem.x0_star
-    diff0 = state.x - x0_star
-    den = float(diff0 @ diff0)
+    d = state.x - x0_star
+    den = float(d @ d)
+    rse = float(d @ d) / den if den > 0.0 else 0.0
     stop = config.stop
-    records = []
+    # rse is never negative, so a missing tolerance is a bound of 0
+    rse_tol = stop.rse_tol if stop.rse_tol is not None else 0.0
+    max_k = math.inf if stop.max_iterations is None else stop.max_iterations
+    max_actions = math.inf if stop.max_row_actions is None else stop.max_row_actions
+    trace_every = config.trace_every
+    next_trace = trace_every if trace_every > 0 else math.inf
+    records = [_record(state, problem, metrics_fn, rse)]
 
-    def rse_of(x):
-        d = x - x0_star
-        return float(d @ d) / den if den > 0.0 else 0.0
-
-    def emit(rse):
-        rec = TraceRecord(k=state.k, row_actions=state.row_actions, rse=rse)
-        resid = problem.A.entries @ state.x - problem.b
-        rec.residual_norm2 = float(np.sqrt(resid @ resid))
-        if metrics_fn is not None:
-            rec.dir_ratio, rec.vmin_overlap = metrics_fn(state.x)
-        records.append(rec)
-
-    rse = rse_of(state.x)
-    emit(rse)
     status = None
-    if den == 0.0 or (stop.rse_tol is not None and rse < stop.rse_tol):
+    if den == 0.0 or rse < rse_tol:
         status = "converged"
-    next_trace = None
-    if config.trace_every > 0:
-        next_trace = config.trace_every
-
+    iterations = _iterations(state, problem, config, rng)
     while status is None:
-        step(state, problem, config, rng)
-        rse = rse_of(state.x)
-        if not np.isfinite(rse):
+        next(iterations)
+        np.subtract(state.x, x0_star, d)
+        rse = float(d.dot(d)) / den
+        if not math.isfinite(rse):
             status = "numerical-divergence"
             break
         if rse > DIVERGENCE_RSE:
             status = "diverged"
             break
-        if stop.rse_tol is not None and rse < stop.rse_tol:
+        if rse < rse_tol:
             status = "converged"
             break
-        if stop.max_iterations is not None and state.k >= stop.max_iterations:
+        if state.k >= max_k:
             status = "budget-exhausted"
             break
-        if stop.max_row_actions is not None and state.row_actions >= stop.max_row_actions:
+        if state.row_actions >= max_actions:
             status = "budget-exhausted"
             break
-        if next_trace is not None and state.row_actions >= next_trace:
-            emit(rse)
+        if state.row_actions >= next_trace:
+            records.append(_record(state, problem, metrics_fn, rse))
             while next_trace <= state.row_actions:
-                next_trace += config.trace_every
+                next_trace += trace_every
 
-    if not records or records[-1].k != state.k:
-        emit(rse)
+    if records[-1].k != state.k:
+        records.append(_record(state, problem, metrics_fn, rse))
     return RunResult(status=status, iterations=state.k,
                      row_actions=state.row_actions, rse=rse, x=state.x,
                      records=records, state=state)
-
-
-def config_with_seed(config: SolverConfig, seed: int) -> SolverConfig:
-    """Copy of the config with a different trajectory seed."""
-    return replace(config, seed=seed)

@@ -468,6 +468,14 @@ def test_cli_rates(tmp_path, capsys):
     assert "beta_max=" in out
 
 
+def test_cli_rates_rejected_problem(tmp_path, capsys):
+    cfg = tmp_path / "infeasible.cfg"
+    cfg.write_text("[problem]\nsource = conditioned\nm = 40\nn = 20\nratio = 5\n")
+    code = cli.main(["rates", str(cfg)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_presets_listing(capsys):
     code = cli.main(["presets"])
     assert code == cli.EXIT_OK

@@ -3,7 +3,7 @@ stream determinism."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rdr_lab.sampling import (
     Rng,
@@ -177,6 +177,7 @@ def test_sampler_chi_square(length, seed, df):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=12),
        st.integers(min_value=0, max_value=2**32))
+@example(weights=[5e-324], seed=0)  # subnormal total: u * total rounds up
 def test_sampler_draws_have_positive_weight(weights, seed):
     w = np.array(weights)
     if not np.any(w > 0.0):
@@ -184,6 +185,8 @@ def test_sampler_draws_have_positive_weight(weights, seed):
     s = WeightedSampler(w)
     idx = s.sample_many(Rng(seed), 32)
     assert np.all(w[idx] > 0.0)
+    r = Rng(seed)
+    assert all(w[s.sample(r)] > 0.0 for _ in range(32))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from rdr_lab.solvers import (
     SolverConfig,
     SolverState,
     StopRule,
-    config_with_seed,
     cyclic_dr_step,
     init_state,
     mrrdr_step,
@@ -85,13 +84,6 @@ def test_config_labels():
     assert SolverConfig(method="rp-admm").label() == "rp-admm[pen=1]"
 
 
-def test_config_with_seed():
-    cfg = SolverConfig(method="rrdr", r=2, seed=1)
-    cfg2 = config_with_seed(cfg, 99)
-    assert cfg2.seed == 99 and cfg2.method == "rrdr" and cfg2.r == 2
-    assert cfg.seed == 1  # original untouched
-
-
 # ---------------------------------------------------------------------------
 # fixed points: every method holds the solution
 # ---------------------------------------------------------------------------
@@ -145,12 +137,12 @@ def test_momentum_beta_zero_bitwise_reduction():
 @pytest.mark.parametrize("method", METHODS)
 def test_run_matches_public_step_replay(method):
     # the per-call step functions are the reference for the driver: k steps
-    # on one stream give the run's iterate bit for bit.  k is long enough to
-    # cross a boundary of a driver that draws indices in blocks of 4096.
+    # on one stream give the run's iterate bit for bit.  k crosses a
+    # boundary of the blocks run() draws indices in.
     from rdr_lab import solvers
 
     step = getattr(solvers, method.replace("-", "_") + "_step")
-    k = 4096 + 7
+    k = solvers.DRAW_BLOCK + 7
     problem = synthetic_problem(12, 5, seed=64)
     cfg = SolverConfig(method=method, r=3, alpha=0.5, beta=0.3, seed=2718,
                        stop=StopRule(rse_tol=None, max_iterations=k),
