@@ -96,8 +96,7 @@ class WeightedSampler:
         self._bounds = self.cumulative_weights[:np.flatnonzero(w > 0.0)[-1]]
 
     def sample(self, rng: Rng) -> int:
-        u = rng.uniform() * self.total
-        return int(np.searchsorted(self._bounds, u, side="right"))
+        return int(self.lookup(rng.uniform()))
 
     def sample_many(self, rng: Rng, size: int) -> np.ndarray:
         """``size`` i.i.d. draws; consumes the stream exactly like ``size``

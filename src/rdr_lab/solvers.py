@@ -97,7 +97,7 @@ class SolverState:
     cyclic_cursor: int = 0
     z_last: np.ndarray | None = None    # last reflected point, for diagnostics
     rgs_steps_since_refresh: int = 0
-    # the problem's operands, set by init_state; ties the state to that problem
+    # the problem's operands, set by init_state and released when run returns
     operands: _Operands | None = field(default=None, repr=False)
 
 
@@ -304,50 +304,41 @@ def rp_admm_step(state: SolverState, problem: Problem, config: SolverConfig,
                            problem)
 
 
-_STEPS = {
-    "rrdr": rrdr_step,
-    "mrrdr": mrrdr_step,
-    "rk": rk_step,
-    "rek": rek_step,
-    "rgs": rgs_step,
-    "cyclic-dr": cyclic_dr_step,
-    "det-rsets-dr": det_rsets_dr_step,
-    "rp-admm": rp_admm_step,
-}
+def _drawn(samplers, rng: Rng):
+    """Per-iteration tuples of one index from each sampler in turn, as that
+    many successive ``sample(rng)`` calls give them.  Drawn in blocks of
+    about ``DRAW_BLOCK``: a PCG64 block consumes the stream exactly like as
+    many successive scalar draws."""
+    k = len(samplers)
+    while True:
+        u = rng.uniform(k * max(1, DRAW_BLOCK // k))
+        yield from zip(*(s.lookup(u[i::k]).tolist()
+                         for i, s in enumerate(samplers)))
 
 
 def _iterations(state: SolverState, problem: Problem, config: SolverConfig,
                 rng: Rng):
-    """Apply one iteration per resume, as the method's step function would.
-    Indices are drawn in blocks of about ``DRAW_BLOCK``: a PCG64 block
-    consumes the stream exactly like as many successive scalar draws."""
+    """Apply one iteration per resume, as the method's step function would,
+    with indices from blocks of draws."""
     method, r, alpha = config.method, config.r, config.alpha
     m, n = problem.A.shape
-    if method == "rk":
-        while True:
-            for j in problem.row_sampler.sample_many(rng, DRAW_BLOCK).tolist():
-                yield _rk_update(state, j)
+    if method in ("rrdr", "mrrdr"):
+        beta = config.beta if method == "mrrdr" else None
+        for rows in _drawn((problem.row_sampler,) * r, rng):
+            yield _dr_update(state, rows, alpha, beta)
+    elif method == "rk":
+        for (j,) in _drawn((problem.row_sampler,), rng):
+            yield _rk_update(state, j)
     elif method == "rgs":
-        while True:
-            for j in problem.col_sampler.sample_many(rng, DRAW_BLOCK).tolist():
-                yield _rgs_update(state, j, problem)
+        for (j,) in _drawn((problem.col_sampler,), rng):
+            yield _rgs_update(state, j, problem)
     elif method == "rek":
-        while True:
-            u = rng.uniform(2 * DRAW_BLOCK)  # a column draw, then a row draw
-            for j, i in zip(problem.col_sampler.lookup(u[0::2]).tolist(),
-                            problem.row_sampler.lookup(u[1::2]).tolist()):
-                yield _rek_update(state, j, i)
+        for j, i in _drawn((problem.col_sampler, problem.row_sampler), rng):
+            yield _rek_update(state, j, i)
     elif method == "rp-admm":
         while True:
             yield _rp_admm_update(state, rng.permutation(n).tolist(),
                                   config.penalty, problem)
-    elif method in ("rrdr", "mrrdr"):
-        beta = config.beta if method == "mrrdr" else None
-        while True:
-            block = problem.row_sampler.sample_many(
-                rng, r * max(1, DRAW_BLOCK // r)).tolist()
-            for i in range(0, len(block), r):
-                yield _dr_update(state, block[i:i + r], alpha, beta)
     elif method == "cyclic-dr":
         while True:
             yield _dr_update(state, _cyclic_rows(state, m), alpha, None)
@@ -421,7 +412,7 @@ def run(problem: Problem, config: SolverConfig, metrics_fn=None) -> RunResult:
         The relative squared error (RSE) is measured against the projection
         of the start point onto the solution set.
     """
-    if config.method not in _STEPS:
+    if config.method not in METHODS:
         raise ValueError(f"unknown method: {config.method}")
     if config.method in ("rrdr", "mrrdr") and config.r % 2 == 0 \
             and not _rank_at_least_two(problem.A):
@@ -474,6 +465,8 @@ def run(problem: Problem, config: SolverConfig, metrics_fn=None) -> RunResult:
 
     if records[-1].k != state.k:
         records.append(_record(state, problem, metrics_fn, rse))
+    # a sweep keeps every RunResult; the views and lists are per-trial copies
+    state.operands = None
     return RunResult(status=status, iterations=state.k,
                      row_actions=state.row_actions, rse=rse, x=state.x,
                      records=records, state=state)

@@ -91,8 +91,9 @@ def test_config_labels():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_solution_is_fixed_point(method):
-    from rdr_lab.solvers import _STEPS
+    from rdr_lab import solvers
 
+    step = getattr(solvers, method.replace("-", "_") + "_step")
     base = synthetic_problem(12, 5, seed=96)
     problem = _at_solution(base)
     cfg = SolverConfig(method=method, r=2, alpha=0.5, beta=0.3, seed=7,
@@ -105,7 +106,7 @@ def test_solution_is_fixed_point(method):
     rng = Rng(7)
     scale = np.linalg.norm(problem.x0_star) + 1.0
     for _ in range(3):
-        _STEPS[method](state, problem, cfg, rng)
+        step(state, problem, cfg, rng)
     assert np.linalg.norm(state.x - problem.x0_star) <= 1e-10 * scale
 
 
