@@ -24,7 +24,7 @@ METHODS = ("rrdr", "mrrdr", "rk", "rek", "rgs", "cyclic-dr", "det-rsets-dr",
 
 DIVERGENCE_RSE = 1e6
 RGS_RECOMPUTE_EVERY = 10 ** 4
-DRAW_BLOCK = 4096  # indices run() draws per call to a sampler
+DRAW_BLOCK = 4096  # uniforms run() draws at a time for a trial's indices
 
 
 @dataclass
@@ -302,6 +302,11 @@ def rp_admm_step(state: SolverState, problem: Problem, config: SolverConfig,
     """
     return _rp_admm_update(state, rng.permutation(problem.A.n), config.penalty,
                            problem)
+
+
+# ---------------------------------------------------------------------------
+# the driver: the same updates, with indices drawn in blocks
+# ---------------------------------------------------------------------------
 
 
 def _drawn(samplers, rng: Rng):

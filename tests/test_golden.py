@@ -9,7 +9,7 @@ A refactor of the solvers or the harness either keeps these digests or
 updates them on purpose, with the reason recorded in CHANGES.md.
 
 The digests were computed with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64,
-Haswell kernels), Python 3.11.  Another BLAS build may sum dot products in
+DYNAMIC_ARCH build), Python 3.11.  Another BLAS build may sum dot products in
 another order and change the last bits of the CSVs.
 """
 
