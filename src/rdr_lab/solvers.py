@@ -124,7 +124,11 @@ class RunResult:
 
 class _Operands:
     """A problem's operands as the updates read them fastest: row and column
-    views of ``A``, Python floats, and a scratch vector of each length."""
+    views of ``A``, Python floats, and a scratch vector of each length.
+
+    ``c`` is a 0-d scratch for the scalar of a scalar-times-vector product:
+    numpy multiplies by a 0-d array without first converting a Python float,
+    which saves about a third of such a call on 50-vectors."""
 
     def __init__(self, problem: Problem):
         A = problem.A
@@ -132,6 +136,7 @@ class _Operands:
         self.b, self.rn = problem.b.tolist(), A.row_norms_sq.tolist()
         self.cn = A.col_norms_sq.tolist()
         self.tmp_n, self.tmp_m = np.empty(A.n), np.empty(A.m)
+        self.c = np.empty(())
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +150,25 @@ def _dr_update(state: SolverState, rows, alpha: float,
     """Reflect through ``rows`` in order, then average with weight alpha;
     unless ``beta`` is None, add beta times the last move."""
     ops = state.operands
-    a_rows, b, rn, tmp = ops.rows, ops.b, ops.rn, ops.tmp_n
+    a_rows, b, rn, tmp, c = ops.rows, ops.b, ops.rn, ops.tmp_n, ops.c
     x = state.x
     z = x.copy()
     for j in rows:
         a = a_rows[j]
-        np.multiply(a, 2.0 * (float(a.dot(z)) - b[j]) / rn[j], tmp)
+        c[()] = 2.0 * (float(a.dot(z)) - b[j]) / rn[j]
+        np.multiply(a, c, tmp)
         z -= tmp
-    out = np.multiply(x, 1.0 - alpha)
-    np.multiply(z, alpha, tmp)
+    c[()] = 1.0 - alpha
+    out = np.multiply(x, c)
+    c[()] = alpha
+    np.multiply(z, c, tmp)
     out += tmp
     if beta is not None:
         # with beta = 0 the momentum term is exactly zero and the trajectory
         # matches the plain method bit for bit
         np.subtract(x, state.x_prev, tmp)
-        tmp *= beta
+        c[()] = beta
+        tmp *= c
         out += tmp
         state.x_prev = x
     state.x, state.z_last = out, z
@@ -178,7 +187,8 @@ def _cyclic_rows(state: SolverState, m: int):
 def _rk_update(state: SolverState, j) -> SolverState:
     ops = state.operands
     a = ops.rows[j]
-    np.multiply(a, (float(a.dot(state.x)) - ops.b[j]) / ops.rn[j], ops.tmp_n)
+    ops.c[()] = (float(a.dot(state.x)) - ops.b[j]) / ops.rn[j]
+    np.multiply(a, ops.c, ops.tmp_n)
     state.x -= ops.tmp_n
     state.k += 1
     state.row_actions += 1
@@ -187,11 +197,12 @@ def _rk_update(state: SolverState, j) -> SolverState:
 
 def _rek_update(state: SolverState, j, i) -> SolverState:
     ops = state.operands
-    col, z = ops.cols[j], state.z_aux
-    np.multiply(col, float(col.dot(z)) / ops.cn[j], ops.tmp_m)
+    col, z, c = ops.cols[j], state.z_aux, ops.c
+    c[()] = float(col.dot(z)) / ops.cn[j]
+    np.multiply(col, c, ops.tmp_m)
     z -= ops.tmp_m
     a = ops.rows[i]
-    c = (float(a.dot(state.x)) - ops.b[i] + float(z[i])) / ops.rn[i]
+    c[()] = (float(a.dot(state.x)) - ops.b[i] + float(z[i])) / ops.rn[i]
     np.multiply(a, c, ops.tmp_n)
     state.x -= ops.tmp_n
     state.k += 1
@@ -204,7 +215,8 @@ def _rgs_update(state: SolverState, j, problem: Problem) -> SolverState:
     col = ops.cols[j]
     delta = -float(col.dot(state.residual)) / ops.cn[j]
     state.x[j] += delta
-    np.multiply(col, delta, ops.tmp_m)
+    ops.c[()] = delta
+    np.multiply(col, ops.c, ops.tmp_m)
     state.residual += ops.tmp_m
     state.rgs_steps_since_refresh += 1
     if state.rgs_steps_since_refresh >= RGS_RECOMPUTE_EVERY:
@@ -219,7 +231,7 @@ def _rgs_update(state: SolverState, j, problem: Problem) -> SolverState:
 def _rp_admm_update(state: SolverState, perm, penalty: float,
                     problem: Problem) -> SolverState:
     ops = state.operands
-    x, res, tmp = state.x, state.residual, ops.tmp_m
+    x, res, tmp, c = state.x, state.residual, ops.tmp_m, ops.c
     mu_over_pen = state.mu / penalty
     for j in perm:
         if ops.cn[j] == 0.0:
@@ -228,7 +240,8 @@ def _rp_admm_update(state: SolverState, perm, penalty: float,
         col = ops.cols[j]
         delta = -(float(col.dot(res)) - float(col.dot(mu_over_pen))) / ops.cn[j]
         x[j] += delta
-        np.multiply(col, delta, tmp)
+        c[()] = delta
+        np.multiply(col, c, tmp)
         res += tmp
     # refresh before the multiplier step so incremental drift cannot build up
     state.residual = problem.A.entries @ x - problem.b
