@@ -318,7 +318,7 @@ def rp_admm_step(state: SolverState, problem: Problem, config: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# the driver: the same updates, with indices drawn in blocks
+# run: the same updates, with indices drawn in blocks
 # ---------------------------------------------------------------------------
 
 

@@ -137,7 +137,7 @@ def test_momentum_beta_zero_bitwise_reduction():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_run_matches_public_step_replay(method):
-    # the per-call step functions are the reference for the driver: k steps
+    # the per-call step functions are the reference for run(): k steps
     # on one stream give the run's iterate bit for bit.  k crosses a
     # boundary of the blocks run() draws indices in.
     from rdr_lab import solvers
