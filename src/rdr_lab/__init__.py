@@ -7,7 +7,7 @@ from .problems import (GraphSpec, Problem, gen_ac_problem, gen_conditioned,
                        gen_direction_adversarial, gen_gaussian, gen_solution,
                        load_matrix_market, synthetic_problem,
                        three_lines_failure_problem)
-from .sampling import Rng, WeightedSampler, build_sampler, sample_permutation
+from .sampling import Rng, WeightedSampler
 from .solvers import (METHODS, RunResult, SolverConfig, SolverState, StopRule,
                       run)
 from .theory import (MeanMap, RateReport, angle_expectation_half, delta1,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Matrix", "SpectralScalars", "SvdResult", "project_row", "reflect_row",
     "svd_small", "spectral_scalars", "projected_solution",
-    "Rng", "WeightedSampler", "build_sampler", "sample_permutation",
+    "Rng", "WeightedSampler",
     "GraphSpec", "Problem", "gen_gaussian", "gen_conditioned", "gen_solution",
     "gen_ac_problem", "gen_direction_adversarial", "load_matrix_market",
     "synthetic_problem", "three_lines_failure_problem",

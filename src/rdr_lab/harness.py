@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import problems as problems_mod
-from .linalg import SVD_SIZE_CAP, spectral_scalars, svd_small
+from .linalg import spectral_scalars, svd_small
 from .problems import GraphSpec, Problem
 from .sampling import MASK64, Rng
 from .solvers import METHODS, RunResult, SolverConfig, StopRule, run
@@ -234,9 +234,6 @@ def parse_config(text: str) -> ExperimentSpec:
     )
     trace_every = _parse_int(run_sec, "trace_every", 1000)
 
-    for b in betas:
-        if not (0.0 <= b < 1.0):
-            raise ConfigError("beta must lie in [0, 1)")
     configs = []
     try:
         for mth, r, alpha, beta in itertools.product(methods, r_values, alphas, betas):
@@ -338,20 +335,16 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, write=True,
     spec.validate()
     root = Rng(spec.seed)
     problem = build_problem(spec.problem, root.child(0).seed)
-    m, n = problem.shape
 
-    svd = None
-    v_min = None
     sigma_min = None
+    metrics_fn = None
     want_metrics = with_direction_metrics
     if want_metrics is None:
         want_metrics = spec.problem.source == "adversarial"
-    if want_metrics and min(m, n) <= SVD_SIZE_CAP:
+    if want_metrics:
         svd = svd_small(problem.A)
         v_min = svd.V[:, svd.rank - 1]
         sigma_min = float(svd.singular_values[svd.rank - 1])
-    metrics_fn = None
-    if v_min is not None:
         metrics_fn = lambda x: compute_direction_metrics(x, problem, v_min)
 
     t_start = time.perf_counter()
@@ -366,7 +359,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, write=True,
     elapsed = time.perf_counter() - t_start
 
     rates = {}
-    if min(m, n) <= SVD_SIZE_CAP and spec.problem.source != "three-lines":
+    if spec.problem.source != "three-lines":
         try:
             scal = spectral_scalars(problem.A)
             for config in spec.configs:

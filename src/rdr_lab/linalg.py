@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels for row-action solvers.
 
-Hyperplane projections and reflections, a self-contained one-sided Jacobi
-SVD used as the spectral oracle at desk scale, and pseudoinverse-based
+Hyperplane projections and reflections, the spectral oracle (LAPACK's SVD
+through numpy, computed once per :class:`Matrix`), and pseudoinverse-based
 reference solutions.
 """
 
@@ -14,19 +14,17 @@ import numpy as np
 # Numerical rank cutoff: sigma > sigma_max * max(m, n) * eps * RANK_RTOL_SCALE.
 RANK_RTOL_SCALE = 16.0
 
-# The Jacobi SVD is an oracle for small-to-desk-size matrices, not a hot path.
-SVD_SIZE_CAP = 2000
-
 _EPS = float(np.finfo(np.float64).eps)
 
 
 class Matrix:
     """Dense row-major matrix with cached squared row norms.
 
-    Entries are frozen after construction so cached norms stay valid and the
-    instance can be shared across concurrent trials.  Rows with zero norm are
-    recorded in ``zero_rows``; norm-weighted samplers give them zero weight
-    and can never return them.
+    Entries are frozen after construction so cached norms and the SVD that
+    :func:`svd_small` stores on the instance stay valid, and the instance can
+    be shared across concurrent trials.  Rows with zero norm are recorded in
+    ``zero_rows``; norm-weighted samplers give them zero weight and can never
+    return them.
     """
 
     def __init__(self, entries):
@@ -43,6 +41,7 @@ class Matrix:
         self.frob_sq = float(self.row_norms_sq.sum())
         self.zero_rows = [int(i) for i in np.flatnonzero(self.row_norms_sq == 0.0)]
         self._col_norms_sq = None
+        self._svd = None
 
     @property
     def col_norms_sq(self):
@@ -56,16 +55,18 @@ class Matrix:
     def shape(self):
         return (self.m, self.n)
 
-    def row(self, i):
-        return self.entries[i]
-
     def __repr__(self):
         return f"Matrix({self.m}x{self.n}, frob_sq={self.frob_sq:.6g})"
 
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full SVD factors: U (m x m), V (n x n) orthogonal, sigma descending."""
+    """SVD factors with ``A == U @ diag(sigma) @ V[:, :k].T``, k = min(m, n).
+
+    U (m x k) has orthonormal columns, V (n x n) is orthogonal, and sigma
+    (length k) is descending.  Wide matrices need all n columns of V: the
+    last n - m lie in the null space.  The arrays are read-only.
+    """
 
     U: np.ndarray
     singular_values: np.ndarray
@@ -118,151 +119,39 @@ def reflect_row(x, a, b, norm_sq=None):
     return x - (2.0 * (a @ x - b) / nrm) * a
 
 
-# ---------------------------------------------------------------------------
-# one-sided Jacobi SVD
-# ---------------------------------------------------------------------------
-
-
-def _round_robin_pairs(n):
-    """Tournament schedule: disjoint column pairs covering all pairs once."""
-    nn = n + (n & 1)  # pad to even; indices >= n are byes
-    items = list(range(nn))
-    rounds = []
-    for _ in range(max(nn - 1, 0)):
-        ps, qs = [], []
-        for i in range(nn // 2):
-            a, b = items[i], items[nn - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        if ps:
-            rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        items = [items[0]] + [items[-1]] + items[1:-1]
-    return rounds
-
-
-def _complete_basis(cols, m):
-    """Extend orthonormal columns (m x k) to a full m x m orthogonal matrix.
-
-    Greedy Gram-Schmidt against standard basis vectors, picking the candidate
-    with the largest residual each time; two re-orthogonalization passes keep
-    the result orthogonal to working precision.
-    """
-    k = cols.shape[1]
-    q = np.zeros((m, m))
-    q[:, :k] = cols
-    have = k
-    while have < m:
-        resid = np.eye(m) - q[:, :have] @ q[:, :have].T
-        norms = np.einsum("ij,ij->j", resid, resid)
-        j = int(np.argmax(norms))
-        v = resid[:, j]
-        v = v - q[:, :have] @ (q[:, :have].T @ v)
-        nrm = np.sqrt(v @ v)
-        if nrm == 0.0:
-            raise ValueError("invalid matrix: basis completion failed")
-        q[:, have] = v / nrm
-        have += 1
-    return q
-
-
-def _one_sided_jacobi(arr, tol=32.0 * _EPS, max_sweeps=64):
-    """Hestenes one-sided Jacobi on an m x n array with m >= n.
-
-    Rotates column pairs until all pairs are orthogonal relative to ``tol``;
-    disjoint pairs within a round are rotated in one vectorized batch.
-    Returns (g, v) with ``arr @ v == g`` and the columns of ``g`` orthogonal.
-    """
-    m, n = arr.shape
-    g = np.array(arr, dtype=np.float64, order="F", copy=True)
-    v = np.eye(n, order="F")
-    if n == 1:
-        return g, v
-    frob_sq = float(np.einsum("ij,ij->", g, g))
-    if frob_sq == 0.0:
-        return g, v
-    # columns this small are numerically zero; rotating them only churns noise
-    dead_tol = frob_sq * _EPS * _EPS * max(m, n)
-    rounds = _round_robin_pairs(n)
-    for _ in range(max_sweeps):
-        off_max = 0.0
-        for ps, qs in rounds:
-            gp = g[:, ps]
-            gq = g[:, qs]
-            app = np.einsum("ij,ij->j", gp, gp)
-            aqq = np.einsum("ij,ij->j", gq, gq)
-            apq = np.einsum("ij,ij->j", gp, gq)
-            alive = (app > dead_tol) & (aqq > dead_tol)
-            denom = np.sqrt(np.maximum(app * aqq, np.finfo(np.float64).tiny))
-            rel = np.where(alive, np.abs(apq) / denom, 0.0)
-            if rel.size:
-                off_max = max(off_max, float(rel.max()))
-            act = rel > tol
-            if not act.any():
-                continue
-            pa = ps[act]
-            qa = qs[act]
-            tau = (aqq[act] - app[act]) / (2.0 * apq[act])
-            sgn = np.where(tau >= 0.0, 1.0, -1.0)
-            t = sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            gpa = g[:, pa]
-            gqa = g[:, qa]
-            g[:, pa] = c * gpa - s * gqa
-            g[:, qa] = s * gpa + c * gqa
-            vpa = v[:, pa]
-            vqa = v[:, qa]
-            v[:, pa] = c * vpa - s * vqa
-            v[:, qa] = s * vpa + c * vqa
-        if off_max <= tol:
-            return g, v
-    raise RuntimeError("svd did not converge")
-
-
 def rank_threshold(sigma_max, m, n):
     """Singular values at or below this are treated as numerically zero."""
     return sigma_max * max(m, n) * _EPS * RANK_RTOL_SCALE
 
 
 def svd_small(A) -> SvdResult:
-    """Full SVD of a dense matrix via one-sided Jacobi.
+    """SVD of a dense matrix through LAPACK, stored on a :class:`Matrix`.
 
     Parameters
     ----------
     A : Matrix or array_like
-        Dense real matrix with min(m, n) <= SVD_SIZE_CAP.
+        Dense real matrix.  A :class:`Matrix` keeps its result, so every
+        later call on the same instance returns the same object.
 
     Returns
     -------
     SvdResult
-        ``U @ diag_rect(sigma) @ V.T`` reconstructs ``A``; singular values are
-        sorted descending and ``rank`` counts those above ``rank_threshold``.
+        Thin U, full V and descending singular values; ``rank`` counts the
+        singular values above ``rank_threshold``.
     """
+    if isinstance(A, Matrix) and A._svd is not None:
+        return A._svd
     arr = _as_array(A)
     m, n = arr.shape
-    if min(m, n) > SVD_SIZE_CAP:
-        raise ValueError("invalid matrix: exceeds svd oracle cap")
-    if m < n:
-        res = svd_small(arr.T)
-        return SvdResult(U=res.V, singular_values=res.singular_values, V=res.U,
-                         rank=res.rank)
-    g, v = _one_sided_jacobi(arr)
-    sig = np.sqrt(np.einsum("ij,ij->j", g, g))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    g = g[:, order]
-    v = np.ascontiguousarray(v[:, order])
+    u, sig, vt = np.linalg.svd(arr, full_matrices=m < n)
+    for f in (u, sig, vt):
+        f.flags.writeable = False
     sigma_max = float(sig[0]) if sig.size else 0.0
-    thresh = rank_threshold(sigma_max, m, n)
-    rank = int(np.sum(sig > thresh))
-    u_cols = np.zeros((m, n))
-    for j in range(rank):
-        u_cols[:, j] = g[:, j] / sig[j]
-    # sub-threshold directions carry no reliable information; complete the
-    # basis instead of normalizing noise
-    u = _complete_basis(u_cols[:, :rank], m)
-    return SvdResult(U=u, singular_values=sig, V=v, rank=rank)
+    rank = int(np.sum(sig > rank_threshold(sigma_max, m, n)))
+    res = SvdResult(U=u, singular_values=sig, V=vt.T, rank=rank)
+    if isinstance(A, Matrix):
+        A._svd = res
+    return res
 
 
 def spectral_scalars(A) -> SpectralScalars:
@@ -298,7 +187,7 @@ def projected_solution(A, b, x0) -> np.ndarray:
     m, n = arr.shape
     if b.shape != (m,) or x0.shape != (n,):
         raise ValueError("invalid matrix: shape mismatch")
-    res = svd_small(arr)
+    res = svd_small(A)
     r = res.rank
     if r == 0:
         if np.any(b != 0.0):

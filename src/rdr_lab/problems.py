@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, projected_solution, svd_small
+from .linalg import Matrix, projected_solution, reflect_row, svd_small
 from .sampling import Rng, WeightedSampler
 
 GEOMETRIC_RETRIES = 50
@@ -122,7 +122,7 @@ def gen_conditioned(m: int, n: int, target_ratio: float, seed: int) -> Matrix:
         cq = s_min * s_min * (n - float(target_ratio))
         scale = (-bq + math.sqrt(bq * bq - 4.0 * a * cq)) / (2.0 * a)
     new_sig = s_min + scale * d
-    arr = (res.U[:, :n] * new_sig) @ res.V.T
+    arr = (res.U * new_sig) @ res.V.T
     return Matrix(arr)
 
 
@@ -155,8 +155,8 @@ def read_matrix_market(path) -> np.ndarray:
     """Parse a real Matrix Market file (coordinate or array) to a dense array.
 
     Supports ``general`` and ``symmetric`` storage with real or integer
-    fields; pattern and complex files are rejected.  Malformed lines raise
-    with their line number.
+    fields; pattern and complex files are rejected.  Malformed lines and
+    repeated coordinates raise with their line number.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
@@ -202,6 +202,7 @@ def read_matrix_market(path) -> np.ndarray:
         entries = body[1:]
         if len(entries) != nnz:
             raise ValueError(f"line {ln}: expected {nnz} entries, found {len(entries)}")
+        seen = set()
         for eln, text in entries:
             p = text.split()
             if len(p) != 3:
@@ -214,6 +215,9 @@ def read_matrix_market(path) -> np.ndarray:
                 raise ValueError(f"line {eln}: index out of range")
             if not math.isfinite(val):
                 raise ValueError(f"line {eln}: non-finite value")
+            if (i, j) in seen:
+                raise ValueError(f"line {eln}: duplicate entry")
+            seen.add((i, j))
             arr[i - 1, j - 1] = val
             if sym == "symmetric" and i != j:
                 if j > i:
@@ -439,10 +443,9 @@ def three_lines_failure_problem() -> Problem:
     )
     # the construction only works if x0 really is a fixed point of the
     # composed reflections; verify numerically rather than trusting algebra
-    z = x0.copy()
-    for i in range(3):
-        a = arr[i]
-        z = z - (2.0 * (a @ z) / float(a @ a)) * a
+    z = x0
+    for a in arr:
+        z = reflect_row(z, a, 0.0)
     if float(np.abs(z - x0).max()) > 1e-10:
         raise ValueError("degenerate matrix: cycling start point lost")
     return problem

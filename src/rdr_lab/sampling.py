@@ -111,19 +111,3 @@ class WeightedSampler:
     def __len__(self):
         return self.weights.size
 
-
-def build_sampler(weights) -> WeightedSampler:
-    """Construct a :class:`WeightedSampler`; rejects invalid weight vectors."""
-    return WeightedSampler(weights)
-
-
-def sample(sampler: WeightedSampler, rng: Rng) -> int:
-    """One weighted index draw."""
-    return sampler.sample(rng)
-
-
-def sample_permutation(n: int, rng: Rng) -> np.ndarray:
-    """Uniform permutation of 0..n-1."""
-    if n < 1:
-        raise ValueError("permutation length must be >= 1")
-    return rng.permutation(n)

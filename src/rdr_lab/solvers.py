@@ -63,8 +63,8 @@ class SolverConfig:
             raise ValueError("invalid parameter: r must be a positive integer")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("invalid parameter: alpha must lie in (0, 1)")
-        if self.beta < 0.0:
-            raise ValueError("invalid parameter: beta must be >= 0")
+        if not (0.0 <= self.beta < 1.0):
+            raise ValueError("invalid parameter: beta must lie in [0, 1)")
         if self.penalty <= 0.0:
             raise ValueError("invalid parameter: penalty must be positive")
         if self.trace_every < 0:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, SpectralScalars, projected_solution, svd_small
+from .linalg import (Matrix, SpectralScalars, projected_solution, reflect_row,
+                     svd_small)
 
 ENUM_BUDGET = 10 ** 6
 
@@ -248,11 +249,10 @@ def enumerate_one_step(A, b, x, x_prev, alpha: float, beta: float, r: int):
         if any(rn[j] == 0.0 for j in rows):
             continue
         w = 1.0
-        z = x.copy()
+        z = x
         for j in rows:
             w *= weights[j]
-            a = arr[j]
-            z -= (2.0 * (a @ z - b[j]) / rn[j]) * a
+            z = reflect_row(z, arr[j], b[j], rn[j])
         nxt = base + alpha * z
         mean_next += w * nxt
         diff = nxt - x_ref

@@ -233,6 +233,23 @@ def test_run_experiment_outputs(tmp_path):
     assert "rates.rrdr[r=2,a=0.5].rate_thm1" in meta
 
 
+def test_run_experiment_factors_the_matrix_once(tmp_path, monkeypatch):
+    # the problem build, v_min and the rate report share one SVD
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    result = run_experiment(_tiny_spec(tmp_path), out_dir=tmp_path,
+                            with_direction_metrics=True)
+    assert calls == [(12, 5)]
+    assert result.rates
+    assert "problem.sigma_min" in result.meta_path.read_text()
+
+
 def test_run_experiment_rows_sorted_within_trial(tmp_path):
     spec = _tiny_spec(tmp_path)
     result = run_experiment(spec, out_dir=tmp_path)

@@ -1,4 +1,4 @@
-"""Kernel tests: projections, reflections, the Jacobi SVD, and reference
+"""Kernel tests: projections, reflections, the SVD oracle, and reference
 solutions, checked against hand values, extended precision, and numpy."""
 
 import numpy as np
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from rdr_lab.linalg import (
     Matrix,
-    SVD_SIZE_CAP,
     project_row,
     projected_solution,
     rank_threshold,
@@ -167,15 +166,18 @@ def test_svd_singular_diag():
 def _check_svd(arr):
     res = svd_small(arr)
     m, n = arr.shape
+    k = min(m, n)
     sig = res.singular_values
-    assert sig.shape == (min(m, n),)
+    assert sig.shape == (k,)
+    assert res.U.shape == (m, k)
+    assert res.V.shape == (n, n)
     assert np.all(sig >= 0.0)
     assert np.all(np.diff(sig) <= 1e-14 * (sig[0] if sig.size else 1.0))
-    smat = np.zeros((m, n))
+    smat = np.zeros((k, n))
     np.fill_diagonal(smat, sig)
     frob = np.linalg.norm(arr)
     assert np.linalg.norm(res.U @ smat @ res.V.T - arr) <= 1e-10 * max(1.0, frob)
-    assert np.linalg.norm(res.U.T @ res.U - np.eye(m)) <= 1e-10
+    assert np.linalg.norm(res.U.T @ res.U - np.eye(k)) <= 1e-10
     assert np.linalg.norm(res.V.T @ res.V - np.eye(n)) <= 1e-10
     # singular values against an independent implementation
     ref = np.linalg.svd(arr, compute_uv=False)
@@ -204,10 +206,14 @@ def test_svd_tiny_singular_value_rank():
     assert res.rank == 1
 
 
-def test_svd_size_cap():
-    big = np.zeros((SVD_SIZE_CAP + 1, SVD_SIZE_CAP + 1))
-    with pytest.raises(ValueError, match="svd oracle cap"):
-        svd_small(big)
+def test_svd_stored_on_matrix():
+    mat = Matrix(_rng(3).standard_normal((6, 4)))
+    res = svd_small(mat)
+    assert svd_small(mat) is res
+    assert spectral_scalars(mat).sigma_min == res.singular_values[res.rank - 1]
+    for factor in (res.U, res.singular_values, res.V):
+        with pytest.raises(ValueError):
+            factor[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,11 @@ def test_gen_conditioned_twenty_random_triples():
 def test_gen_conditioned_preserves_singular_vectors():
     M = gen_conditioned(12, 5, 60.0, seed=4)
     res = svd_small(M)
-    assert np.linalg.norm(res.U.T @ res.U - np.eye(12)) <= 1e-9
+    assert res.U.shape == (12, 5)
+    assert np.linalg.norm(res.U.T @ res.U - np.eye(5)) <= 1e-9
     assert np.linalg.norm(res.V.T @ res.V - np.eye(5)) <= 1e-9
+    rebuilt = res.U @ np.diag(res.singular_values) @ res.V.T
+    assert np.linalg.norm(rebuilt - M.entries) <= 1e-9 * np.sqrt(M.frob_sq)
 
 
 def test_gen_conditioned_infeasible():
@@ -220,6 +223,18 @@ def test_mtx_malformed_reports_line(tmp_path):
         read_matrix_market(path)
 
 
+def test_mtx_rejects_duplicate_entry(tmp_path):
+    path = tmp_path / "dup.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 3\n1 1 1.0\n2 2 2.0\n1 1 5.0\n")
+    with pytest.raises(ValueError, match="line 5: duplicate entry"):
+        read_matrix_market(path)
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "2 2 2\n2 1 3.0\n2 1 3.0\n")
+    with pytest.raises(ValueError, match="line 4: duplicate entry"):
+        read_matrix_market(path)
+
+
 def test_mtx_roundtrip_exact(tmp_path):
     arr = np.random.default_rng(2).standard_normal((7, 4)) * 1e3
     arr[2, 1] = 0.0
@@ -321,7 +336,7 @@ def test_three_lines_fixed_point():
     p = three_lines_failure_problem()
     x = p.x0.copy()
     for i in range(3):
-        x = reflect_row(x, p.A.row(i), 0.0)
+        x = reflect_row(x, p.A.entries[i], 0.0)
     half = 0.5 * (p.x0 + x)
     assert np.linalg.norm(half - p.x0) <= 1e-10
     assert np.linalg.norm(p.x0) > 1.0  # genuinely away from the solution
@@ -345,7 +360,7 @@ def test_three_lines_origin_fixed():
     p = three_lines_failure_problem()
     x = np.zeros(2)
     for i in range(3):
-        x = reflect_row(x, p.A.row(i), 0.0)
+        x = reflect_row(x, p.A.entries[i], 0.0)
     np.testing.assert_allclose(0.5 * (np.zeros(2) + x), np.zeros(2), atol=1e-15)
 
 

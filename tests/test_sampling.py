@@ -9,9 +9,6 @@ from rdr_lab.sampling import (
     Rng,
     WeightedSampler,
     _splitmix64,
-    build_sampler,
-    sample,
-    sample_permutation,
 )
 
 # 99.9% chi-square critical values (standard tables), keyed by df
@@ -104,7 +101,7 @@ def test_rng_integer_bounds():
 
 
 def test_sampler_fields():
-    s = build_sampler((1.0, 2.0, 3.0))
+    s = WeightedSampler((1.0, 2.0, 3.0))
     np.testing.assert_array_equal(s.cumulative_weights, [1.0, 3.0, 6.0])
     assert s.total == 6.0
     assert len(s) == 3
@@ -113,7 +110,7 @@ def test_sampler_fields():
 def test_sampler_total_matches_frobenius():
     arr = np.random.default_rng(1).standard_normal((40, 7))
     row_sq = np.einsum("ij,ij->i", arr, arr)
-    s = build_sampler(row_sq)
+    s = WeightedSampler(row_sq)
     frob_sq = float(np.linalg.norm(arr) ** 2)
     assert abs(s.total - frob_sq) <= 1e-12 * frob_sq
 
@@ -121,17 +118,17 @@ def test_sampler_total_matches_frobenius():
 def test_sampler_rejects_invalid_weights():
     for bad in ([], [0.0, 0.0], [1.0, -0.5], [np.inf, 1.0], [np.nan]):
         with pytest.raises(ValueError, match="invalid weights"):
-            build_sampler(bad)
+            WeightedSampler(bad)
 
 
 def test_sampler_single_row():
-    s = build_sampler([2.5])
+    s = WeightedSampler([2.5])
     r = Rng(0)
-    assert all(sample(s, r) == 0 for _ in range(50))
+    assert all(s.sample(r) == 0 for _ in range(50))
 
 
 def test_sampler_zero_weight_never_drawn():
-    s = build_sampler((0.0, 3.0, 1.0))
+    s = WeightedSampler((0.0, 3.0, 1.0))
     draws = s.sample_many(Rng(12), 200_000)
     counts = np.bincount(draws, minlength=3)
     assert counts[0] == 0
@@ -141,13 +138,13 @@ def test_sampler_zero_weight_never_drawn():
 
 
 def test_sampler_golden_sequence():
-    s = build_sampler((1.0, 2.0, 3.0))
+    s = WeightedSampler((1.0, 2.0, 3.0))
     r = Rng(42)
-    assert [sample(s, r) for _ in range(12)] == [2, 1, 2, 2, 0, 2, 2, 2, 0, 1, 1, 2]
+    assert [s.sample(r) for _ in range(12)] == [2, 1, 2, 2, 0, 2, 2, 2, 0, 1, 1, 2]
 
 
 def test_sampler_frequencies_one_two_three():
-    s = build_sampler((1.0, 2.0, 3.0))
+    s = WeightedSampler((1.0, 2.0, 3.0))
     draws = s.sample_many(Rng(314), 10**6)
     counts = np.bincount(draws, minlength=3)
     for i, p in enumerate((1 / 6, 1 / 3, 1 / 2)):
@@ -156,10 +153,10 @@ def test_sampler_frequencies_one_two_three():
 
 
 def test_sample_many_matches_scalar_stream():
-    s = build_sampler((0.5, 1.5, 2.0, 0.0, 1.0))
+    s = WeightedSampler((0.5, 1.5, 2.0, 0.0, 1.0))
     batch = s.sample_many(Rng(88), 64)
     r = Rng(88)
-    ones = [sample(s, r) for _ in range(64)]
+    ones = [s.sample(r) for _ in range(64)]
     np.testing.assert_array_equal(batch, ones)
 
 
@@ -167,7 +164,7 @@ def test_sample_many_matches_scalar_stream():
 def test_sampler_chi_square(length, seed, df):
     # marginals over 1e6 draws stay under the 99.9% critical value
     w = Rng(seed).uniform(length) + 0.05
-    s = build_sampler(w)
+    s = WeightedSampler(w)
     counts = np.bincount(s.sample_many(Rng(seed + 7), 10**6), minlength=length)
     expected = (w / w.sum()) * 10**6
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -195,18 +192,13 @@ def test_sampler_draws_have_positive_weight(weights, seed):
 
 
 def test_permutation_n1():
-    np.testing.assert_array_equal(sample_permutation(1, Rng(0)), [0])
-
-
-def test_permutation_rejects_n0():
-    with pytest.raises(ValueError, match="permutation length"):
-        sample_permutation(0, Rng(0))
+    np.testing.assert_array_equal(Rng(0).permutation(1), [0])
 
 
 def test_permutation_is_bijection():
     r = Rng(17)
     for n in (2, 5, 30):
-        p = sample_permutation(n, r)
+        p = r.permutation(n)
         np.testing.assert_array_equal(np.sort(p), np.arange(n))
 
 
@@ -215,7 +207,7 @@ def test_permutation_multinomial_counts():
     r = Rng(5)
     counts = {}
     for _ in range(60_000):
-        key = tuple(int(v) for v in sample_permutation(3, r))
+        key = tuple(int(v) for v in r.permutation(3))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     bound = 3.0 * np.sqrt(1e4 * (5.0 / 6.0))

@@ -60,6 +60,8 @@ def test_config_validation():
         SolverConfig(method="rrdr", alpha=0.0)
     with pytest.raises(ValueError, match="beta"):
         SolverConfig(method="mrrdr", beta=-0.1)
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
+        SolverConfig(method="mrrdr", beta=1.0)
     with pytest.raises(ValueError, match="r must be"):
         SolverConfig(method="rrdr", r=0)
     with pytest.raises(ValueError, match="penalty"):
@@ -448,11 +450,17 @@ def test_run_divergence_status():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_numerical_divergence_status():
-    # a huge momentum factor overflows the squared error in one step
-    problem = synthetic_problem(10, 4, seed=2)
-    cfg = SolverConfig(method="mrrdr", r=1, alpha=0.5, beta=1e160, seed=0,
+    # a divergent momentum cell on a system scaled to |x0_star|^2 = 1e306:
+    # the squared error overflows once rse passes about 180, far below
+    # DIVERGENCE_RSE, so the overflow is what ends the run
+    p = synthetic_problem(10, 4, seed=2)
+    s = 1e153
+    problem = Problem(A=p.A, b=p.b * s, x_star=p.x_star * s, x0=p.x0,
+                      x0_star=p.x0_star * s)
+    cfg = SolverConfig(method="mrrdr", r=1, alpha=0.9, beta=0.8, seed=0,
                        stop=StopRule(rse_tol=1e-12, max_iterations=100))
-    res = run(problem, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run(problem, cfg)
     assert res.status == "numerical-divergence"
 
 
