@@ -11,10 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from .harness import (ConfigError, build_problem, figure_presets,
-                      parse_config_file, preset, run_experiment)
+from .harness import (build_problem, figure_presets, parse_config_file, preset,
+                      rate_reports, run_experiment)
 from .linalg import spectral_scalars
-from .theory import rate_report
+from .sampling import Rng
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -28,10 +28,9 @@ def _finish(result, allow_divergence: bool) -> int:
     for label, trial, res in result.runs:
         print(f"{result.spec.label} {label} trial={trial} status={res.status} "
               f"k={res.iterations} row_actions={res.row_actions} rse={res.rse:.3e}")
-    if result.trace_path is not None:
-        print(f"wrote {result.trace_path}")
-        print(f"wrote {result.summary_path}")
-        print(f"wrote {result.meta_path}")
+    print(f"wrote {result.trace_path}")
+    print(f"wrote {result.summary_path}")
+    print(f"wrote {result.meta_path}")
     if bad and not allow_divergence:
         for label, trial, status in bad:
             print(f"error: {label} trial={trial} ended with {status}",
@@ -40,75 +39,37 @@ def _finish(result, allow_divergence: bool) -> int:
     return EXIT_OK
 
 
+def _read_config(path):
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"no such config file: {path}")
+    return parse_config_file(path)
+
+
 def _cmd_run(args) -> int:
-    path = Path(args.config)
-    if not path.is_file():
-        print(f"error: no such config file: {path}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        spec = parse_config_file(path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    spec = _read_config(args.config)
     if args.seed is not None:
         spec.seed = args.seed
     out_dir = args.out if args.out is not None else spec.out_dir
-    try:
-        result = run_experiment(spec, out_dir=out_dir)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return _finish(result, allow_divergence=True)
+    return _finish(run_experiment(spec, out_dir=out_dir), allow_divergence=True)
 
 
 def _cmd_preset(args) -> int:
-    try:
-        spec = preset(args.name, scale=args.scale, seed=args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = run_experiment(spec, out_dir=args.out)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return _finish(result, allow_divergence=spec.allow_divergence)
+    spec = preset(args.name, scale=args.scale, seed=args.seed)
+    return _finish(run_experiment(spec, out_dir=args.out),
+                   allow_divergence=spec.allow_divergence)
 
 
 def _cmd_rates(args) -> int:
-    path = Path(args.config)
-    if not path.is_file():
-        print(f"error: no such config file: {path}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        spec = parse_config_file(path)
-        from .sampling import Rng
-        problem = build_problem(spec.problem, Rng(spec.seed).child(0).seed)
-    except ValueError as exc:  # ConfigError, or a problem the build rejects
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    m, n = problem.shape
+    spec = _read_config(args.config)
+    problem = build_problem(spec.problem, Rng(spec.seed).child(0).seed)
+    reports = rate_reports(spec, problem)
     scal = spectral_scalars(problem.A)
+    m, n = problem.shape
     print(f"problem {problem.label}: m={m} n={n} rank={scal.rank} "
           f"sigma_min={scal.sigma_min:.6e} sigma_max={scal.sigma_max:.6e} "
           f"frob_sq={scal.frob_sq:.6e}")
-    for config in spec.configs:
-        if config.method not in ("rrdr", "mrrdr"):
-            continue
-        rep = rate_report(scal, config.alpha, config.beta, config.r)
-        print(f"{config.label()}: rate_thm1={rep.rate_thm1:.10f} "
+    for label, rep in reports.items():
+        print(f"{label}: rate_thm1={rep.rate_thm1:.10f} "
               f"rate_thm2={rep.rate_thm2:.10f} q={rep.q:.10f} "
               f"beta_max={rep.beta_max:.6f} feasible={rep.momentum_feasible}")
     return EXIT_OK
@@ -128,6 +89,12 @@ def _cmd_check(args) -> int:
     return EXIT_OK if proc.returncode == 0 else EXIT_DIVERGED
 
 
+def _cmd_presets(args) -> int:
+    for name in sorted(figure_presets()):
+        print(name)
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rdr-lab",
@@ -138,19 +105,24 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
+    p_run.set_defaults(handler=_cmd_run)
 
     p_preset = sub.add_parser("preset", help="run a named figure preset")
     p_preset.add_argument("name")
     p_preset.add_argument("--scale", type=float, default=1.0)
     p_preset.add_argument("--seed", type=int, default=12345)
     p_preset.add_argument("--out", default="out")
+    p_preset.set_defaults(handler=_cmd_preset)
 
     p_rates = sub.add_parser("rates", help="print closed-form rate predictions")
     p_rates.add_argument("config")
+    p_rates.set_defaults(handler=_cmd_rates)
 
-    sub.add_parser("check", help="run the acceptance suite")
+    sub.add_parser("check", help="run the acceptance suite").set_defaults(
+        handler=_cmd_check)
 
-    sub.add_parser("presets", help="list preset names")
+    sub.add_parser("presets", help="list preset names").set_defaults(
+        handler=_cmd_presets)
 
     try:
         args = parser.parse_args(argv)
@@ -158,20 +130,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 2 reserved for I/O
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return EXIT_OK if code == 0 else EXIT_USAGE
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "preset":
-        return _cmd_preset(args)
-    if args.command == "rates":
-        return _cmd_rates(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "presets":
-        for name in sorted(figure_presets()):
-            print(name)
-        return EXIT_OK
-    parser.error("unknown command")
-    return EXIT_USAGE
+    try:
+        return args.handler(args)
+    except ValueError as exc:  # ConfigError, or a value a build or solver rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,20 +97,55 @@ class ExperimentSpec:
 # config file parsing
 # ---------------------------------------------------------------------------
 
-_PROBLEM_KEYS = {"source", "m", "n", "ratio", "path", "topology", "nodes",
-                 "radius", "label"}
-_SOLVER_KEYS = {"methods", "r", "alpha", "beta", "penalty"}
-_RUN_KEYS = {"trials", "seed", "rse_tol", "max_row_actions", "max_iterations",
-             "trace_every", "out"}
+# section -> key -> converter; ``[conv]`` is a comma-separated list of conv
+_KEYS = {
+    "problem": {"source": str.lower, "m": int, "n": int, "ratio": float,
+                "path": str, "topology": str.lower, "nodes": int,
+                "radius": float, "label": str},
+    "solvers": {"methods": [str], "r": [int], "alpha": [float],
+                "beta": [float], "penalty": float},
+    "run": {"trials": int, "seed": int, "rse_tol": float,
+            "max_row_actions": int, "max_iterations": int,
+            "trace_every": int, "out": str},
+}
+_NONE_KEYS = {"rse_tol", "max_row_actions", "max_iterations"}
+# a '#' at the start of a line or after whitespace starts a comment
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
+def _convert(ln, key, raw, conv):
+    if key in _NONE_KEYS and raw.lower() == "none":
+        return None
+    if isinstance(conv, list):
+        out = []
+        for piece in filter(None, (p.strip() for p in raw.split(","))):
+            try:
+                out.append(conv[0](piece))
+            except ValueError:
+                raise ConfigError(
+                    f"line {ln}: bad value '{piece}' for '{key}'") from None
+        if not out:
+            raise ConfigError(f"line {ln}: empty list for '{key}'")
+        if key == "methods":
+            for mth in out:
+                if mth not in METHODS:
+                    raise ConfigError(f"line {ln}: unknown method '{mth}'")
+        return out
+    try:
+        return conv(raw)
+    except ValueError:
+        what = "an integer" if conv is int else "a number"
+        raise ConfigError(f"line {ln}: '{key}' must be {what}") from None
 
 
 def _parse_lines(text: str):
-    """Line-oriented ``key = value`` parser with ``[section]`` headers."""
-    sections = {"problem": {}, "solvers": {}, "run": {}}
+    """Line-oriented ``key = value`` parser with ``[section]`` headers;
+    returns each section's values converted as ``_KEYS`` says."""
+    sections = {name: {} for name in _KEYS}
     current = None
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw).strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
@@ -123,134 +159,41 @@ def _parse_lines(text: str):
             raise ConfigError(f"line {ln}: key outside any section")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        allowed = {"problem": _PROBLEM_KEYS, "solvers": _SOLVER_KEYS,
-                   "run": _RUN_KEYS}[current]
-        if key not in allowed:
+        if key not in _KEYS[current]:
             raise ConfigError(f"line {ln}: unknown key '{key}' in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {ln}: duplicate key '{key}'")
-        sections[current][key] = (ln, value)
+        sections[current][key] = _convert(ln, key, value.strip(),
+                                          _KEYS[current][key])
     return sections
 
 
-def _take(section, key, default=None):
-    if key in section:
-        return section[key][1]
-    return default
-
-
-def _parse_float(section, key, default):
-    raw = _take(section, key)
-    if raw is None:
-        return default
-    ln = section[key][0]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"line {ln}: '{key}' must be a number") from None
-
-
-def _parse_int(section, key, default):
-    raw = _take(section, key)
-    if raw is None:
-        return default
-    ln = section[key][0]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"line {ln}: '{key}' must be an integer") from None
-
-
-def _parse_optional_int(section, key, default):
-    raw = _take(section, key)
-    if raw is None:
-        return default
-    if raw.lower() == "none":
-        return None
-    return _parse_int(section, key, default)
-
-
-def _parse_list(section, key, default, conv):
-    raw = _take(section, key)
-    if raw is None:
-        return default
-    ln = section[key][0]
-    out = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(conv(piece))
-        except ValueError:
-            raise ConfigError(f"line {ln}: bad value '{piece}' for '{key}'") from None
-    if not out:
-        raise ConfigError(f"line {ln}: empty list for '{key}'")
-    return out
-
-
 def parse_config(text: str) -> ExperimentSpec:
-    """Build an :class:`ExperimentSpec` from config text; unknown keys fail."""
+    """Build an :class:`ExperimentSpec` from config text; unknown keys fail.
+
+    A key the file leaves out takes the default of the dataclass field it
+    fills, apart from the file's own defaults named here.
+    """
     sections = _parse_lines(text)
-    prob_sec = sections["problem"]
-    solv_sec = sections["solvers"]
-    run_sec = sections["run"]
-
-    pspec = ProblemSpec(
-        source=_take(prob_sec, "source", "synthetic").lower(),
-        m=_parse_int(prob_sec, "m", 100),
-        n=_parse_int(prob_sec, "n", 50),
-        ratio=_parse_float(prob_sec, "ratio", None),
-        path=_take(prob_sec, "path"),
-        topology=_take(prob_sec, "topology", "line").lower(),
-        nodes=_parse_int(prob_sec, "nodes", 50),
-        radius=_parse_float(prob_sec, "radius", None),
-    )
-
-    methods = _parse_list(solv_sec, "methods", ["rrdr"], str)
-    for mth in methods:
-        if mth not in METHODS:
-            ln = solv_sec["methods"][0]
-            raise ConfigError(f"line {ln}: unknown method '{mth}'")
-    r_values = _parse_list(solv_sec, "r", [1], int)
-    alphas = _parse_list(solv_sec, "alpha", [0.5], float)
-    betas = _parse_list(solv_sec, "beta", [0.0], float)
-    penalty = _parse_float(solv_sec, "penalty", 1.0)
-
-    rse_raw = _take(run_sec, "rse_tol", "1e-12")
-    if rse_raw.lower() == "none":
-        rse_tol = None
-    else:
-        try:
-            rse_tol = float(rse_raw)
-        except ValueError:
-            ln = run_sec["rse_tol"][0]
-            raise ConfigError(f"line {ln}: 'rse_tol' must be a number") from None
-    stop = StopRule(
-        rse_tol=rse_tol,
-        max_row_actions=_parse_optional_int(run_sec, "max_row_actions", 1_000_000),
-        max_iterations=_parse_optional_int(run_sec, "max_iterations", None),
-    )
-    trace_every = _parse_int(run_sec, "trace_every", 1000)
-
-    configs = []
+    problem, solvers, run_sec = (sections[name] for name in _KEYS)
+    experiment = {"label": problem.pop("label")} if "label" in problem else {}
+    for key, name in (("trials", "trials"), ("seed", "seed"), ("out", "out_dir")):
+        if key in run_sec:
+            experiment[name] = run_sec.pop(key)
+    trace_every = run_sec.pop("trace_every", 1000)
+    grid = {"method": solvers.pop("methods", ["rrdr"])}
+    grid.update((key, solvers.pop(key)) for key in ("r", "alpha", "beta")
+                if key in solvers)
     try:
-        for mth, r, alpha, beta in itertools.product(methods, r_values, alphas, betas):
-            configs.append(SolverConfig(method=mth, r=r, alpha=alpha, beta=beta,
-                                        penalty=penalty, stop=stop,
-                                        trace_every=trace_every))
+        # what is left of [run] is the stop rule, and of [solvers] the penalty
+        stop = StopRule(**{"max_row_actions": 1_000_000, **run_sec})
+        configs = [SolverConfig(**dict(zip(grid, values)), **solvers,
+                                stop=stop, trace_every=trace_every)
+                   for values in itertools.product(*grid.values())]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    spec = ExperimentSpec(
-        problem=pspec,
-        configs=configs,
-        trials=_parse_int(run_sec, "trials", 10),
-        seed=_parse_int(run_sec, "seed", 0),
-        out_dir=_take(run_sec, "out", "out"),
-        label=_take(prob_sec, "label", "experiment"),
-    )
+    spec = ExperimentSpec(problem=ProblemSpec(**{"source": "synthetic", **problem}),
+                          configs=configs, **experiment)
     spec.validate()
     return spec
 
@@ -310,10 +253,10 @@ class ExperimentResult:
     spec: ExperimentSpec
     problem: Problem
     runs: list  # list of (config_label, trial, RunResult)
-    trace_path: Path | None = None
-    summary_path: Path | None = None
-    meta_path: Path | None = None
-    rates: dict = field(default_factory=dict)
+    rates: dict  # RateReport by config label
+    trace_path: Path
+    summary_path: Path
+    meta_path: Path
 
 
 def _fmt(value) -> str:
@@ -324,13 +267,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_experiment(spec: ExperimentSpec, out_dir=None, write=True,
-                   with_direction_metrics=None) -> ExperimentResult:
+def rate_reports(spec: ExperimentSpec, problem: Problem) -> dict:
+    """Closed-form rate reports of the rrdr and mrrdr configs, by label."""
+    scal = spectral_scalars(problem.A)
+    return {config.label(): rate_report(scal, config.alpha, config.beta, config.r)
+            for config in spec.configs if config.method in ("rrdr", "mrrdr")}
+
+
+def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     """Run every (config, trial) pair and write trace/summary/meta files.
 
     Trial ``t`` of grid entry ``g`` draws from the child stream with index
     ``g * trials + t + 1`` of the experiment seed; entry 0 seeds problem
-    generation.  Rows are emitted in (config, trial, step) order.
+    generation.  Rows are emitted in (config, trial, step) order.  Trace
+    records carry direction metrics on adversarial problems.
     """
     spec.validate()
     root = Rng(spec.seed)
@@ -338,10 +288,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, write=True,
 
     sigma_min = None
     metrics_fn = None
-    want_metrics = with_direction_metrics
-    if want_metrics is None:
-        want_metrics = spec.problem.source == "adversarial"
-    if want_metrics:
+    if spec.problem.source == "adversarial":
         svd = svd_small(problem.A)
         v_min = svd.V[:, svd.rank - 1]
         sigma_min = float(svd.singular_values[svd.rank - 1])
@@ -361,25 +308,20 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, write=True,
     rates = {}
     if spec.problem.source != "three-lines":
         try:
-            scal = spectral_scalars(problem.A)
-            for config in spec.configs:
-                if config.method in ("rrdr", "mrrdr"):
-                    rates[config.label()] = rate_report(
-                        scal, config.alpha, config.beta, config.r)
+            rates = rate_reports(spec, problem)
         except ValueError:
-            rates = {}
+            pass
 
-    result = ExperimentResult(spec=spec, problem=problem, runs=runs,
-                              rates=rates)
-    if write:
-        out = Path(out_dir if out_dir is not None else spec.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        result.trace_path = out / f"{spec.label}_trace.csv"
-        result.summary_path = out / f"{spec.label}_summary.csv"
-        result.meta_path = out / f"{spec.label}_meta.txt"
-        _write_trace(result.trace_path, spec.label, runs)
-        _write_summary(result.summary_path, spec.label, runs)
-        _write_meta(result.meta_path, spec, problem, rates, sigma_min, elapsed)
+    out = Path(out_dir if out_dir is not None else spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    result = ExperimentResult(
+        spec=spec, problem=problem, runs=runs, rates=rates,
+        trace_path=out / f"{spec.label}_trace.csv",
+        summary_path=out / f"{spec.label}_summary.csv",
+        meta_path=out / f"{spec.label}_meta.txt")
+    _write_trace(result.trace_path, spec.label, runs)
+    _write_summary(result.summary_path, spec.label, runs)
+    _write_meta(result.meta_path, spec, problem, rates, sigma_min, elapsed)
     return result
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import svd_small
 from .problems import Problem
 from .sampling import Rng
 
@@ -365,26 +366,6 @@ def _iterations(state: SolverState, problem: Problem, config: SolverConfig,
             yield _dr_update(state, range(m), alpha, None)
 
 
-def _rank_at_least_two(A) -> bool:
-    """Cheap full-scan check that not all rows are parallel."""
-    arr = A.entries
-    base = None
-    base_nsq = 0.0
-    for i in range(A.m):
-        nsq = A.row_norms_sq[i]
-        if nsq == 0.0:
-            continue
-        row = arr[i]
-        if base is None:
-            base = row
-            base_nsq = nsq
-            continue
-        resid = row - ((base @ row) / base_nsq) * base
-        if float(resid @ resid) > 1e-24 * nsq:
-            return True
-    return False
-
-
 def init_state(problem: Problem, config: SolverConfig) -> SolverState:
     """Per-method state setup from the problem's start point."""
     x = problem.x0.astype(np.float64).copy()
@@ -433,7 +414,7 @@ def run(problem: Problem, config: SolverConfig, metrics_fn=None) -> RunResult:
     if config.method not in METHODS:
         raise ValueError(f"unknown method: {config.method}")
     if config.method in ("rrdr", "mrrdr") and config.r % 2 == 0 \
-            and not _rank_at_least_two(problem.A):
+            and svd_small(problem.A).rank < 2:
         raise ValueError("even-r requires rank >= 2")
     if problem.A.zero_rows and config.method in ("cyclic-dr", "det-rsets-dr"):
         raise ValueError("degenerate hyperplane: zero row in cyclic sweep")

@@ -3,6 +3,7 @@ emission, figure presets, and the CLI exit-code contract."""
 
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +133,25 @@ def test_config_error_is_value_error():
     assert issubclass(ConfigError, ValueError)
 
 
+def test_parse_readme_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Config files", 1)[1].split("```ini\n", 1)[1]
+    spec = parse_config(block.split("```", 1)[0])
+    assert (spec.problem.source, spec.problem.m, spec.problem.n) == ("synthetic", 200, 50)
+    assert spec.problem.path == "data/some.mtx"
+    assert len(spec.configs) == 2 * 3 * 2  # methods x r x beta
+    assert spec.configs[0].stop.max_iterations is None
+    assert spec.label == "my-experiment"
+
+
+def test_parse_comments():
+    spec = parse_config("# head\n[problem]  # section\nsource = mtx # inline\n"
+                        "path = a#b.mtx\n\tlabel = x\t# tab\n")
+    assert spec.problem.source == "mtx"
+    assert spec.problem.path == "a#b.mtx"
+    assert spec.label == "x"
+
+
 # ---------------------------------------------------------------------------
 # problem building
 # ---------------------------------------------------------------------------
@@ -233,8 +253,7 @@ def test_run_experiment_outputs(tmp_path):
     assert "rates.rrdr[r=2,a=0.5].rate_thm1" in meta
 
 
-def test_run_experiment_factors_the_matrix_once(tmp_path, monkeypatch):
-    # the problem build, v_min and the rate report share one SVD
+def _count_svd_calls(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -243,11 +262,28 @@ def test_run_experiment_factors_the_matrix_once(tmp_path, monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    result = run_experiment(_tiny_spec(tmp_path), out_dir=tmp_path,
-                            with_direction_metrics=True)
+    return calls
+
+
+def test_run_experiment_factors_the_matrix_once(tmp_path, monkeypatch):
+    # the problem build, the even-r rank check and the rate report share one SVD
+    calls = _count_svd_calls(monkeypatch)
+    result = run_experiment(_tiny_spec(tmp_path), out_dir=tmp_path)
     assert calls == [(12, 5)]
     assert result.rates
+    assert "problem.sigma_min" not in result.meta_path.read_text()
+
+
+def test_adversarial_run_factors_the_matrix_once(tmp_path, monkeypatch):
+    # v_min, the even-r rank check and the rate report share one SVD
+    calls = _count_svd_calls(monkeypatch)
+    spec = _tiny_spec(tmp_path, problem=ProblemSpec(source="adversarial", n=12))
+    result = run_experiment(spec, out_dir=tmp_path)
+    assert calls == [(12, 12)]
+    assert result.rates
     assert "problem.sigma_min" in result.meta_path.read_text()
+    rows = list(csv.DictReader(io.StringIO(result.trace_path.read_text())))
+    assert all(row["dir_ratio"] and row["vmin_overlap"] for row in rows)
 
 
 def test_run_experiment_rows_sorted_within_trial(tmp_path):
@@ -491,6 +527,29 @@ def test_cli_rates_rejected_problem(tmp_path, capsys):
     code = cli.main(["rates", str(cfg)])
     assert code == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("run_keys, message", [
+    ("rse_tol = 0", "rse_tol must be positive"),
+    ("rse_tol = none\nmax_row_actions = none", "no finite stopping bound"),
+])
+def test_cli_run_bad_stop_rule(tmp_path, capsys, run_keys, message):
+    cfg = tmp_path / "stop.cfg"
+    cfg.write_text(f"[run]\n{run_keys}\n")
+    code = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: invalid parameter: {message}\n"
+
+
+def test_cli_rates_even_r_on_rank_one(tmp_path, capsys):
+    cfg = tmp_path / "rank1.cfg"
+    cfg.write_text("[problem]\nsource = ac\ntopology = line\nnodes = 2\n"
+                   "[solvers]\nmethods = rrdr\nr = 2\n")
+    code = cli.main(["rates", str(cfg)])
+    assert code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err == "error: even-r requires rank >= 2\n"
+    assert out == ""
 
 
 def test_cli_presets_listing(capsys):
