@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or validation error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
@@ -75,20 +74,6 @@ def _cmd_rates(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    candidates = [
-        Path.cwd() / "tests" / "test_acceptance.py",
-        Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py",
-    ]
-    target = next((p for p in candidates if p.is_file()), None)
-    if target is None:
-        print("error: tests/test_acceptance.py not found (run from the "
-              "repository root)", file=sys.stderr)
-        return EXIT_IO
-    proc = subprocess.run([sys.executable, "-m", "pytest", str(target), "-q", "-s"])
-    return EXIT_OK if proc.returncode == 0 else EXIT_DIVERGED
-
-
 def _cmd_presets(args) -> int:
     for name in sorted(figure_presets()):
         print(name)
@@ -117,9 +102,6 @@ def main(argv=None) -> int:
     p_rates = sub.add_parser("rates", help="print closed-form rate predictions")
     p_rates.add_argument("config")
     p_rates.set_defaults(handler=_cmd_rates)
-
-    sub.add_parser("check", help="run the acceptance suite").set_defaults(
-        handler=_cmd_check)
 
     sub.add_parser("presets", help="list preset names").set_defaults(
         handler=_cmd_presets)

@@ -187,9 +187,11 @@ def parse_config(text: str) -> ExperimentSpec:
     try:
         # what is left of [run] is the stop rule, and of [solvers] the penalty
         stop = StopRule(**{"max_row_actions": 1_000_000, **run_sec})
-        configs = [SolverConfig(**dict(zip(grid, values)), **solvers,
-                                stop=stop, trace_every=trace_every)
-                   for values in itertools.product(*grid.values())]
+        # a config holds only what its method reads, so equal ones collapse
+        configs = list(dict.fromkeys(
+            SolverConfig(**dict(zip(grid, values)), **solvers, stop=stop,
+                         trace_every=trace_every)
+            for values in itertools.product(*grid.values())))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     spec = ExperimentSpec(problem=ProblemSpec(**{"source": "synthetic", **problem}),

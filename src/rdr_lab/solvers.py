@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,15 +20,20 @@ from .linalg import svd_small
 from .problems import Problem
 from .sampling import Rng
 
-METHODS = ("rrdr", "mrrdr", "rk", "rek", "rgs", "cyclic-dr", "det-rsets-dr",
-           "rp-admm")
+# the SolverConfig fields each method reads, in label order; det-rsets-dr
+# composes all m rows and keeps ``r`` only as a tag of its label
+PARAMS = {"rrdr": ("r", "alpha"), "mrrdr": ("r", "alpha", "beta"), "rk": (),
+          "rek": (), "rgs": (), "cyclic-dr": ("alpha",),
+          "det-rsets-dr": ("r", "alpha"), "rp-admm": ("penalty",)}
+METHODS = tuple(PARAMS)
+_TAGS = {"r": "r={}", "alpha": "a={:g}", "beta": "b={:g}", "penalty": "pen={:g}"}
 
 DIVERGENCE_RSE = 1e6
 RGS_RECOMPUTE_EVERY = 10 ** 4
 DRAW_BLOCK = 4096  # uniforms run() draws at a time for a trial's indices
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopRule:
     """Termination bounds; at least one must be finite."""
 
@@ -44,9 +49,13 @@ class StopRule:
             raise ValueError("invalid parameter: rse_tol must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Method selection plus every tunable the methods share."""
+    """Method selection plus every tunable the methods share.
+
+    A tunable its method does not read (see ``PARAMS``) is reset to its
+    default once validated, so configs that run the same trials compare and
+    hash equal."""
 
     method: str
     r: int = 1
@@ -70,18 +79,14 @@ class SolverConfig:
             raise ValueError("invalid parameter: penalty must be positive")
         if self.trace_every < 0:
             raise ValueError("invalid parameter: trace_every must be >= 0")
+        for f in fields(self):
+            if f.name in _TAGS and f.name not in PARAMS[self.method]:
+                object.__setattr__(self, f.name, f.default)
 
     def label(self) -> str:
-        parts = [self.method]
-        if self.method in ("rrdr", "mrrdr", "det-rsets-dr"):
-            parts.append(f"r={self.r}")
-        if self.method in ("rrdr", "mrrdr", "cyclic-dr", "det-rsets-dr"):
-            parts.append(f"a={self.alpha:g}")
-        if self.method == "mrrdr":
-            parts.append(f"b={self.beta:g}")
-        if self.method == "rp-admm":
-            parts.append(f"pen={self.penalty:g}")
-        return parts[0] if len(parts) == 1 else f"{parts[0]}[{','.join(parts[1:])}]"
+        tags = [_TAGS[name].format(getattr(self, name))
+                for name in PARAMS[self.method]]
+        return f"{self.method}[{','.join(tags)}]" if tags else self.method
 
 
 @dataclass
@@ -97,7 +102,6 @@ class SolverState:
     row_actions: int = 0
     cyclic_cursor: int = 0
     z_last: np.ndarray | None = None    # last reflected point, for diagnostics
-    rgs_steps_since_refresh: int = 0
     # the problem's operands, set by init_state and released when run returns
     operands: _Operands | None = field(default=None, repr=False)
 
@@ -147,9 +151,9 @@ class _Operands:
 
 
 def _dr_update(state: SolverState, rows, alpha: float,
-               beta: float | None) -> SolverState:
-    """Reflect through ``rows`` in order, then average with weight alpha;
-    unless ``beta`` is None, add beta times the last move."""
+               beta: float) -> SolverState:
+    """Reflect through ``rows`` in order, then average with weight alpha and
+    add beta times the last move."""
     ops = state.operands
     a_rows, b, rn, tmp, c = ops.rows, ops.b, ops.rn, ops.tmp_n, ops.c
     x = state.x
@@ -164,9 +168,8 @@ def _dr_update(state: SolverState, rows, alpha: float,
     c[()] = alpha
     np.multiply(z, c, tmp)
     out += tmp
-    if beta is not None:
-        # with beta = 0 the momentum term is exactly zero and the trajectory
-        # matches the plain method bit for bit
+    if beta:
+        # at beta = 0 the term is exactly zero, so skipping it keeps every bit
         np.subtract(x, state.x_prev, tmp)
         c[()] = beta
         tmp *= c
@@ -219,13 +222,11 @@ def _rgs_update(state: SolverState, j, problem: Problem) -> SolverState:
     ops.c[()] = delta
     np.multiply(col, ops.c, ops.tmp_m)
     state.residual += ops.tmp_m
-    state.rgs_steps_since_refresh += 1
-    if state.rgs_steps_since_refresh >= RGS_RECOMPUTE_EVERY:
-        # cap incremental drift with a periodic full recompute
-        state.residual = problem.A.entries @ state.x - problem.b
-        state.rgs_steps_since_refresh = 0
     state.k += 1
     state.row_actions += 1
+    if state.k % RGS_RECOMPUTE_EVERY == 0:
+        # cap incremental drift with a periodic full recompute
+        state.residual = problem.A.entries @ state.x - problem.b
     return state
 
 
@@ -257,18 +258,16 @@ def _rp_admm_update(state: SolverState, perm, penalty: float,
 # ---------------------------------------------------------------------------
 
 
-def rrdr_step(state: SolverState, problem: Problem, config: SolverConfig,
-              rng: Rng) -> SolverState:
-    """One iteration: r sampled reflections, then alpha-averaging."""
-    rows = problem.row_sampler.sample_many(rng, config.r)
-    return _dr_update(state, rows, config.alpha, None)
-
-
 def mrrdr_step(state: SolverState, problem: Problem, config: SolverConfig,
                rng: Rng) -> SolverState:
-    """Momentum variant: the averaged step plus beta times the last move."""
+    """One iteration: r sampled reflections, alpha-averaging, plus beta times
+    the last move."""
     rows = problem.row_sampler.sample_many(rng, config.r)
     return _dr_update(state, rows, config.alpha, config.beta)
+
+
+# rrdr is the momentum method at beta = 0, which its configs always hold
+rrdr_step = mrrdr_step
 
 
 def rk_step(state: SolverState, problem: Problem, config: SolverConfig,
@@ -296,14 +295,13 @@ def cyclic_dr_step(state: SolverState, problem: Problem, config: SolverConfig,
                    rng: Rng) -> SolverState:
     """Cyclic Douglas-Rachford: reflect through two consecutive rows in cyclic
     order, then average."""
-    return _dr_update(state, _cyclic_rows(state, problem.A.m), config.alpha,
-                      None)
+    return _dr_update(state, _cyclic_rows(state, problem.A.m), config.alpha, 0.0)
 
 
 def det_rsets_dr_step(state: SolverState, problem: Problem, config: SolverConfig,
                       rng: Rng) -> SolverState:
     """Deterministic variant: compose all m reflections in index order."""
-    return _dr_update(state, range(problem.A.m), config.alpha, None)
+    return _dr_update(state, range(problem.A.m), config.alpha, 0.0)
 
 
 def rp_admm_step(state: SolverState, problem: Problem, config: SolverConfig,
@@ -339,10 +337,9 @@ def _iterations(state: SolverState, problem: Problem, config: SolverConfig,
                 rng: Rng):
     """Apply one iteration per resume, as the method's step function would,
     with indices from blocks of draws."""
-    method, r, alpha = config.method, config.r, config.alpha
+    method, r, alpha, beta = config.method, config.r, config.alpha, config.beta
     m, n = problem.A.shape
     if method in ("rrdr", "mrrdr"):
-        beta = config.beta if method == "mrrdr" else None
         for rows in _drawn((problem.row_sampler,) * r, rng):
             yield _dr_update(state, rows, alpha, beta)
     elif method == "rk":
@@ -360,17 +357,17 @@ def _iterations(state: SolverState, problem: Problem, config: SolverConfig,
                                   config.penalty, problem)
     elif method == "cyclic-dr":
         while True:
-            yield _dr_update(state, _cyclic_rows(state, m), alpha, None)
+            yield _dr_update(state, _cyclic_rows(state, m), alpha, 0.0)
     else:  # det-rsets-dr
         while True:
-            yield _dr_update(state, range(m), alpha, None)
+            yield _dr_update(state, range(m), alpha, 0.0)
 
 
 def init_state(problem: Problem, config: SolverConfig) -> SolverState:
     """Per-method state setup from the problem's start point."""
     x = problem.x0.astype(np.float64).copy()
     state = SolverState(x=x, operands=_Operands(problem))
-    if config.method == "mrrdr":
+    if config.beta:
         state.x_prev = x.copy()  # cold start: previous iterate equals x0
     if config.method == "rek":
         state.z_aux = problem.b.astype(np.float64).copy()
@@ -411,8 +408,6 @@ def run(problem: Problem, config: SolverConfig, metrics_fn=None) -> RunResult:
         The relative squared error (RSE) is measured against the projection
         of the start point onto the solution set.
     """
-    if config.method not in METHODS:
-        raise ValueError(f"unknown method: {config.method}")
     if config.method in ("rrdr", "mrrdr") and config.r % 2 == 0 \
             and svd_small(problem.A).rank < 2:
         raise ValueError("even-r requires rank >= 2")

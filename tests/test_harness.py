@@ -88,6 +88,16 @@ beta = 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8
     assert len(pairs) == 81
 
 
+def test_parse_grid_spans_only_read_parameters():
+    # rk reads none of r, alpha, beta and rrdr reads no beta, so their
+    # copies across those lists collapse into one config each
+    spec = parse_config("[solvers]\nmethods = rk, rrdr, mrrdr\nr = 1, 2\n"
+                        "beta = 0.0, 0.4\n")
+    labels = [c.label() for c in spec.configs]
+    assert len(labels) == len(set(labels)) == 7
+    assert labels.count("rk") == 1
+
+
 def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError, match="line 3: unknown key 'colour'"):
         parse_config("[problem]\nsource = synthetic\ncolour = red\n")
@@ -139,7 +149,7 @@ def test_parse_readme_example():
     spec = parse_config(block.split("```", 1)[0])
     assert (spec.problem.source, spec.problem.m, spec.problem.n) == ("synthetic", 200, 50)
     assert spec.problem.path == "data/some.mtx"
-    assert len(spec.configs) == 2 * 3 * 2  # methods x r x beta
+    assert len(spec.configs) == 3 * 2 + 1  # mrrdr r x beta, and one rk
     assert spec.configs[0].stop.max_iterations is None
     assert spec.label == "my-experiment"
 
@@ -251,6 +261,18 @@ def test_run_experiment_outputs(tmp_path):
     assert "seed = 99" in meta
     assert "row_action_convention" in meta
     assert "rates.rrdr[r=2,a=0.5].rate_thm1" in meta
+
+
+def test_run_experiment_rrdr_rates_at_beta_zero(tmp_path):
+    spec = parse_config("[problem]\nm = 12\nn = 5\n[solvers]\n"
+                        "methods = rrdr, mrrdr\nr = 2\nbeta = 0.0, 0.4\n"
+                        "[run]\ntrials = 1\nmax_row_actions = 100\n")
+    text = run_experiment(spec, out_dir=tmp_path).meta_path.read_text()
+    meta = dict(line.split(" = ", 1) for line in text.splitlines())
+    for key in ("q", "gamma1"):
+        assert meta[f"rates.rrdr[r=2,a=0.5].{key}"] \
+            == meta[f"rates.mrrdr[r=2,a=0.5,b=0].{key}"]
+    assert float(meta["rates.rrdr[r=2,a=0.5].gamma2"]) == 0.0
 
 
 def _count_svd_calls(monkeypatch):
@@ -561,5 +583,6 @@ def test_cli_presets_listing(capsys):
 
 def test_cli_usage_errors(capsys):
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+    assert cli.main(["check"]) == cli.EXIT_USAGE
     capsys.readouterr()
     assert cli.main(["--help"]) == cli.EXIT_OK

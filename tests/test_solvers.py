@@ -70,6 +70,16 @@ def test_config_validation():
         SolverConfig(method="rk", trace_every=-1)
 
 
+def test_config_holds_only_what_its_method_reads():
+    rk = SolverConfig(method="rk", r=3, alpha=0.2, beta=0.4, penalty=2.0)
+    assert rk == SolverConfig(method="rk")
+    assert hash(rk) == hash(SolverConfig(method="rk"))
+    assert SolverConfig(method="rrdr", beta=0.4) == SolverConfig(method="rrdr")
+    # validation comes first: a bad value is rejected even where unread
+    with pytest.raises(ValueError, match="alpha"):
+        SolverConfig(method="rk", alpha=1.0)
+
+
 def test_stop_rule_needs_a_bound():
     with pytest.raises(ValueError, match="no finite stopping bound"):
         StopRule(rse_tol=None)
