@@ -8,8 +8,8 @@ from .problems import (GraphSpec, Problem, gen_ac_problem, gen_conditioned,
                        load_matrix_market, synthetic_problem,
                        three_lines_failure_problem)
 from .sampling import Rng, WeightedSampler
-from .solvers import (METHODS, RunResult, SolverConfig, SolverState, StopRule,
-                      run)
+from .solvers import (METHODS, RunResult, Runs, SolverConfig, SolverState,
+                      StopRule, run)
 from .theory import (MeanMap, RateReport, angle_expectation_half, delta1,
                      delta2, enumerate_one_step, mean_map,
                      momentum_accel_region, momentum_linear_region, rate_report,
@@ -24,7 +24,7 @@ __all__ = [
     "GraphSpec", "Problem", "gen_gaussian", "gen_conditioned", "gen_solution",
     "gen_ac_problem", "gen_direction_adversarial", "load_matrix_market",
     "synthetic_problem", "three_lines_failure_problem",
-    "METHODS", "SolverConfig", "SolverState", "StopRule", "RunResult", "run",
+    "METHODS", "SolverConfig", "SolverState", "StopRule", "RunResult", "Runs", "run",
     "MeanMap", "RateReport", "rate_thm1", "rate_thm2", "delta1", "delta2",
     "singular_decay_factor", "momentum_linear_region", "momentum_accel_region",
     "mean_map", "enumerate_one_step", "angle_expectation_half", "rate_report",

@@ -277,13 +277,13 @@ def rate_reports(spec: ExperimentSpec, problem: Problem) -> dict:
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
-    """Run every (config, trial) pair and write trace/summary/meta files.
+    """Run every (config, trial) pair, one solver call per method, and write
+    trace/summary/meta files.
 
     Trial ``t`` of grid entry ``g`` draws from the child stream with index
     ``g * trials + t + 1`` of the experiment seed; entry 0 seeds problem
     generation.  Rows are emitted in (config, trial, step) order.  Trace
-    records carry direction metrics on adversarial problems.
-    """
+    records carry direction metrics on adversarial problems."""
     spec.validate()
     root = Rng(spec.seed)
     problem = build_problem(spec.problem, root.child(0).seed)
@@ -297,14 +297,15 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         metrics_fn = lambda x: compute_direction_metrics(x, problem, v_min)
 
     t_start = time.perf_counter()
-    runs = []
-    for g, config in enumerate(spec.configs):
-        label = config.label()
-        for trial in range(spec.trials):
-            child = root.child(g * spec.trials + trial + 1)
-            result = run(problem, replace(config, seed=child.seed),
-                         metrics_fn=metrics_fn)
-            runs.append((label, trial, result))
+    trials = [(config.label(), trial, replace(
+        config, seed=root.child(g * spec.trials + trial + 1).seed))
+        for g, config in enumerate(spec.configs) for trial in range(spec.trials)]
+    results = {}  # by position in ``trials``; methods in order of first appearance
+    for method in dict.fromkeys(config.method for config in spec.configs):
+        group = [i for i, (_, _, config) in enumerate(trials) if config.method == method]
+        results.update(zip(group, run(problem, *(trials[i][2] for i in group),
+                                      metrics_fn=metrics_fn)))
+    runs = [(label, trial, results[i]) for i, (label, trial, _) in enumerate(trials)]
     elapsed = time.perf_counter() - t_start
 
     rates = {}

@@ -4,8 +4,8 @@ The main method reflects the iterate through ``r`` norm-weighted sampled row
 hyperplanes and averages the result back with weight ``alpha``; a heavy-ball
 term turns it into the momentum variant.  Classical baselines (Kaczmarz,
 extended Kaczmarz, Gauss-Seidel, cyclic Douglas-Rachford, a deterministic
-all-rows variant, and randomly permuted ADMM) share the same driver and
-trace format.
+all-rows variant, and randomly permuted ADMM) share the same trace format
+and driver, which advances all trials of a method as the rows of one block.
 """
 
 from __future__ import annotations
@@ -20,17 +20,16 @@ from .linalg import svd_small
 from .problems import Problem
 from .sampling import Rng
 
-# the SolverConfig fields each method reads, in label order; det-rsets-dr
-# composes all m rows and keeps ``r`` only as a tag of its label
+# the SolverConfig fields each method reads, in label order
 PARAMS = {"rrdr": ("r", "alpha"), "mrrdr": ("r", "alpha", "beta"), "rk": (),
           "rek": (), "rgs": (), "cyclic-dr": ("alpha",),
-          "det-rsets-dr": ("r", "alpha"), "rp-admm": ("penalty",)}
+          "det-rsets-dr": ("alpha",), "rp-admm": ("penalty",)}
 METHODS = tuple(PARAMS)
 _TAGS = {"r": "r={}", "alpha": "a={:g}", "beta": "b={:g}", "penalty": "pen={:g}"}
 
 DIVERGENCE_RSE = 1e6
 RGS_RECOMPUTE_EVERY = 10 ** 4
-DRAW_BLOCK = 4096  # uniforms run() draws at a time for a trial's indices
+DRAW_BLOCK = 1 << 14  # uniforms the lanes of a run draw between them at a time
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,6 @@ class SolverState:
     row_actions: int = 0
     cyclic_cursor: int = 0
     z_last: np.ndarray | None = None    # last reflected point, for diagnostics
-    # the problem's operands, set by init_state and released when run returns
-    operands: _Operands | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -127,246 +124,267 @@ class RunResult:
     state: SolverState
 
 
-class _Operands:
-    """A problem's operands as the updates read them fastest: row and column
-    views of ``A``, Python floats, and a scratch vector of each length.
+class Runs(tuple):
+    """The results of one :func:`run` call, in the order of its configs."""
 
-    ``c`` is a 0-d scratch for the scalar of a scalar-times-vector product:
-    numpy multiplies by a 0-d array without first converting a Python float,
-    which saves about a third of such a call on 50-vectors."""
-
-    def __init__(self, problem: Problem):
-        A = problem.A
-        self.rows, self.cols = list(A.entries), list(A.entries.T)
-        self.b, self.rn = problem.b.tolist(), A.row_norms_sq.tolist()
-        self.cn = A.col_norms_sq.tolist()
-        self.tmp_n, self.tmp_m = np.empty(A.n), np.empty(A.m)
-        self.c = np.empty(())
+    iterations = property(lambda self: sum(res.iterations for res in self))
+    row_actions = property(lambda self: sum(res.row_actions for res in self))
 
 
-# ---------------------------------------------------------------------------
-# updates: one iteration given the indices it drew, shared by the public
-# step functions and by run
-# ---------------------------------------------------------------------------
+# a block's rows: SolverState arrays, parameters, row actions an iteration, draws
+_LANE_ARRAYS = ("x", "x_prev", "z_aux", "mu", "residual", "z_last")
+_PER_LANE = _LANE_ARRAYS + ("r", "alpha", "beta", "penalty", "per", "rngs", "drawn")
 
 
-def _dr_update(state: SolverState, rows, alpha: float,
-               beta: float) -> SolverState:
-    """Reflect through ``rows`` in order, then average with weight alpha and
-    add beta times the last move."""
-    ops = state.operands
-    a_rows, b, rn, tmp, c = ops.rows, ops.b, ops.rn, ops.tmp_n, ops.c
-    x = state.x
+class _Lanes:
+    """Trials of one method in lockstep, one lane per row of each block.
+
+    Lanes are sorted by ``r``, highest first, so reflection j of an iteration
+    acts on the leading ``prefix[j]`` lanes.  Each lane draws from its own
+    stream, about ``size`` uniforms for all lanes at a time; PCG64 consumes a
+    stream for ``random(size)`` exactly as for ``size`` scalar draws."""
+
+    def __init__(self, problem: Problem, states, configs, rngs, size: int):
+        # a step function's one lane is a view of its state
+        stack = (lambda rows: rows[0][None]) if len(states) == 1 else np.stack
+        self.k, self.cyclic_cursor = states[0].k, states[0].cyclic_cursor
+        for name in ("x", "z_aux", "mu", "residual"):
+            rows = [getattr(s, name) for s in states]
+            setattr(self, name, None if rows[0] is None else stack(rows))
+        # a lane without momentum never reads its previous iterate
+        self.x_prev = stack([s.x if s.x_prev is None else s.x_prev for s in states]) \
+            if any(c.beta for c in configs) else None
+        for name in ("r", "alpha", "beta", "penalty"):
+            setattr(self, name, np.array([[getattr(c, name)] for c in configs]))
+        self.samplers = [getattr(problem, f"{name}_sampler")
+                         for name in _SAMPLERS.get(configs[0].method, ())]
+        # a sampled method draws one index per row action
+        self.per = np.array([_per_iteration(c, problem) for c in configs])
+        self.rngs = np.fromiter(rngs, object)  # an array, so ``take`` applies
+        self.size, self.z_last, self.drawn = size, None, None
+        self.take(slice(None))
+
+    def take(self, keep):
+        """Keep only the lanes ``keep``, in that order."""
+        for name in _PER_LANE:
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name)[keep])
+        self.stay, self.lane = 1.0 - self.alpha, np.arange(len(self.x))
+        self.prefix = (self.r > np.arange(self.r[0, 0])).sum(0).tolist()
+        mom = np.flatnonzero(self.beta)  # the lanes with momentum
+        self.mom = slice(None) if mom.size == self.lane.size else mom if mom.size else None
+
+    def draw(self):
+        """Each lane's indices for its next iteration, a row each; the
+        streams for a method without samplers (rp-admm draws permutations)."""
+        if not self.samplers:
+            return self.rngs
+        if self.drawn is None or self.i == self.drawn.shape[1]:
+            iters = max(1, self.size // int(self.per.sum()))
+            u = np.zeros((len(self.rngs), iters, self.per[0]))
+            for lane, (rng, c) in enumerate(zip(self.rngs, self.per)):
+                u[lane, :, :c] = rng.uniform(iters * c).reshape(iters, c)
+            self.drawn, self.i = self.samplers[0].lookup(u) if len(self.samplers) == 1 \
+                else np.stack([s.lookup(u[..., p]) for p, s in enumerate(self.samplers)], -1), 0
+        self.i += 1
+        return self.drawn[:, self.i - 1]
+
+
+# Updates: one iteration of every lane, given the indices it drew.  Dots are
+# np.vecdot over gathered rows, which sums each lane as ndarray.dot does (both
+# call the BLAS ddot), and each elementwise operation keeps the order of the
+# one-trial formula, so no lane's bits depend on the others.
+
+
+def _dr_update(lanes: _Lanes, problem: Problem, rows):
+    """Reflect each lane through its rows in order (one index for all lanes,
+    or indices of the leading lanes), then average with weight alpha and add
+    beta times the last move."""
+    A, b, rn = problem.A.entries, problem.b, problem.A.row_norms_sq
+    x = lanes.x
     z = x.copy()
     for j in rows:
-        a = a_rows[j]
-        c[()] = 2.0 * (float(a.dot(z)) - b[j]) / rn[j]
-        np.multiply(a, c, tmp)
-        z -= tmp
-    c[()] = 1.0 - alpha
-    out = np.multiply(x, c)
-    c[()] = alpha
-    np.multiply(z, c, tmp)
-    out += tmp
-    if beta:
-        # at beta = 0 the term is exactly zero, so skipping it keeps every bit
-        np.subtract(x, state.x_prev, tmp)
-        c[()] = beta
-        tmp *= c
-        out += tmp
-        state.x_prev = x
-    state.x, state.z_last = out, z
-    state.k += 1
-    state.row_actions += len(rows)
-    return state
+        zj = z if isinstance(j, int) else z[:len(j)]
+        a = A.take(j, 0)
+        c = np.vecdot(a, zj) - b[j]
+        zj -= a * ((c + c) / rn[j])[:, None]  # c + c is 2.0 * c, bit for bit
+    out = x * lanes.stay
+    out += z * lanes.alpha
+    if (m := lanes.mom) is not None:
+        # only lanes with beta != 0: adding 0 * (x - x_prev) would turn -0.0
+        # into +0.0 and inf into nan
+        out[m] += (x[m] - lanes.x_prev[m]) * lanes.beta[m]
+        lanes.x_prev = x
+    lanes.x, lanes.z_last = out, z
+    lanes.k += 1
 
 
-def _cyclic_rows(state: SolverState, m: int):
-    """The next two consecutive rows in cyclic order; advances the cursor."""
-    i = state.cyclic_cursor
-    state.cyclic_cursor = (i + 1) % m
-    return (i, state.cyclic_cursor)
+def _cyclic_dr(lanes: _Lanes, problem: Problem, drawn):
+    i, lanes.cyclic_cursor = lanes.cyclic_cursor, (lanes.cyclic_cursor + 1) % problem.A.m
+    _dr_update(lanes, problem, (i, lanes.cyclic_cursor))
 
 
-def _rk_update(state: SolverState, j) -> SolverState:
-    ops = state.operands
-    a = ops.rows[j]
-    ops.c[()] = (float(a.dot(state.x)) - ops.b[j]) / ops.rn[j]
-    np.multiply(a, ops.c, ops.tmp_n)
-    state.x -= ops.tmp_n
-    state.k += 1
-    state.row_actions += 1
-    return state
+def _project(lanes: _Lanes, problem: Problem, i, shift=None):
+    # each lane onto its row i of A x = b, with b[i] corrected by shift
+    a = problem.A.entries.take(i, 0)
+    c = np.vecdot(a, lanes.x) - problem.b[i]
+    if shift is not None:
+        c += shift
+    a *= (c / problem.A.row_norms_sq[i])[:, None]
+    lanes.x -= a
+    lanes.k += 1
 
 
-def _rek_update(state: SolverState, j, i) -> SolverState:
-    ops = state.operands
-    col, z, c = ops.cols[j], state.z_aux, ops.c
-    c[()] = float(col.dot(z)) / ops.cn[j]
-    np.multiply(col, c, ops.tmp_m)
-    z -= ops.tmp_m
-    a = ops.rows[i]
-    c[()] = (float(a.dot(state.x)) - ops.b[i] + float(z[i])) / ops.rn[i]
-    np.multiply(a, c, ops.tmp_n)
-    state.x -= ops.tmp_n
-    state.k += 1
-    state.row_actions += 2  # one column touch plus one row touch
-    return state
+def _columns(A, j) -> np.ndarray:
+    # columns j of A as rows with a stride, as A's column views have unless
+    # n = 1: OpenBLAS sums a strided vector in another order than a contiguous one
+    cols = np.empty((len(j), A.m, 1 + (A.n > 1)))[..., 0]
+    cols[...] = A.entries.T[j]
+    return cols
 
 
-def _rgs_update(state: SolverState, j, problem: Problem) -> SolverState:
-    ops = state.operands
-    col = ops.cols[j]
-    delta = -float(col.dot(state.residual)) / ops.cn[j]
-    state.x[j] += delta
-    ops.c[()] = delta
-    np.multiply(col, ops.c, ops.tmp_m)
-    state.residual += ops.tmp_m
-    state.k += 1
-    state.row_actions += 1
-    if state.k % RGS_RECOMPUTE_EVERY == 0:
+def _rek_update(lanes: _Lanes, problem: Problem, drawn):
+    j, i = drawn.T
+    col, z = _columns(problem.A, j), lanes.z_aux
+    z -= col * (np.vecdot(col, z) / problem.A.col_norms_sq[j])[:, None]
+    _project(lanes, problem, i, z[lanes.lane, i])
+
+
+def _coordinate(lanes, problem, j, mu_over_pen=None, lane=slice(None)):
+    # exact minimization along coordinate j of each lane, residual kept
+    col, res = _columns(problem.A, j), lanes.residual
+    t = np.vecdot(col, res[lane])
+    if mu_over_pen is not None:
+        t = t - np.vecdot(col, mu_over_pen[lane])
+    delta = -t / problem.A.col_norms_sq[j]
+    lanes.x[lanes.lane[lane], j] += delta
+    res[lane] += col * delta[:, None]
+
+
+def _residuals(problem: Problem, x) -> np.ndarray:
+    # one matrix-vector product per lane, as ``A @ x`` computes it
+    return np.matmul(problem.A.entries, x[:, :, None])[:, :, 0] - problem.b
+
+
+def _rgs_update(lanes: _Lanes, problem: Problem, drawn):
+    _coordinate(lanes, problem, drawn[:, 0])
+    lanes.k += 1
+    if lanes.k % RGS_RECOMPUTE_EVERY == 0:
         # cap incremental drift with a periodic full recompute
-        state.residual = problem.A.entries @ state.x - problem.b
-    return state
+        lanes.residual = _residuals(problem, lanes.x)
 
 
-def _rp_admm_update(state: SolverState, perm, penalty: float,
-                    problem: Problem) -> SolverState:
-    ops = state.operands
-    x, res, tmp, c = state.x, state.residual, ops.tmp_m, ops.c
-    mu_over_pen = state.mu / penalty
-    for j in perm:
-        if ops.cn[j] == 0.0:
+def _rp_admm_update(lanes: _Lanes, problem: Problem, rngs):
+    cn = problem.A.col_norms_sq
+    mu_over_pen, some_zero = lanes.mu / lanes.penalty, not cn.all()
+    for j in np.stack([rng.permutation(problem.A.n) for rng in rngs]).T:
+        lane = slice(None)
+        if some_zero and not cn[j].all():
             warnings.warn("rp-admm: skipping zero column", stacklevel=3)
-            continue
-        col = ops.cols[j]
-        delta = -(float(col.dot(res)) - float(col.dot(mu_over_pen))) / ops.cn[j]
-        x[j] += delta
-        c[()] = delta
-        np.multiply(col, c, tmp)
-        res += tmp
+            lane = np.flatnonzero(cn[j])
+            j = j[lane]
+        _coordinate(lanes, problem, j, mu_over_pen, lane)
     # refresh before the multiplier step so incremental drift cannot build up
-    state.residual = problem.A.entries @ x - problem.b
-    state.mu -= state.residual
-    state.k += 1
-    state.row_actions += len(perm)
+    lanes.residual = _residuals(problem, lanes.x)
+    lanes.mu -= lanes.residual
+    lanes.k += 1
+
+
+_UPDATES = {
+    "rrdr": lambda lanes, problem, drawn: _dr_update(
+        lanes, problem, [drawn[:c, j] for j, c in enumerate(lanes.prefix)]),
+    "rk": lambda lanes, problem, drawn: _project(lanes, problem, drawn[:, 0]),
+    "rek": _rek_update, "rgs": _rgs_update, "cyclic-dr": _cyclic_dr,
+    "det-rsets-dr": lambda lanes, problem, drawn: _dr_update(
+        lanes, problem, range(problem.A.m)),
+    "rp-admm": _rp_admm_update}
+_UPDATES["mrrdr"] = _UPDATES["rrdr"]
+# the samplers of one iteration's draws; rrdr and mrrdr draw r rows
+_SAMPLERS = {"rrdr": ("row",), "mrrdr": ("row",), "rk": ("row",),
+             "rgs": ("col",), "rek": ("col", "row")}
+
+
+def _per_iteration(config: SolverConfig, problem: Problem) -> int:
+    """Row actions of one iteration of the config's method."""
+    return {"rrdr": config.r, "mrrdr": config.r, "rek": 2, "cyclic-dr": 2,
+            "det-rsets-dr": problem.A.m, "rp-admm": problem.A.n}.get(config.method, 1)
+
+
+def _step(state: SolverState, problem: Problem, config: SolverConfig,
+          rng: Rng) -> SolverState:
+    """One iteration of ``config.method`` on one trial's state, as ``run``
+    makes it, with the indices drawn from ``rng`` one call at a time."""
+    lanes = _Lanes(problem, [state], [config], [rng], 0)
+    _UPDATES[config.method](lanes, problem, lanes.draw())
+    for name in _LANE_ARRAYS:
+        if getattr(lanes, name) is not None:
+            setattr(state, name, getattr(lanes, name)[0])
+    state.k, state.cyclic_cursor = lanes.k, lanes.cyclic_cursor
+    state.row_actions += _per_iteration(config, problem)
     return state
 
 
-# ---------------------------------------------------------------------------
-# step functions: draw one iteration's indices, then apply its update
-# ---------------------------------------------------------------------------
+# the public step function of each method; each applies its config's update
+rrdr_step = mrrdr_step = rk_step = rek_step = rgs_step = _step
+cyclic_dr_step = det_rsets_dr_step = rp_admm_step = _step
 
 
-def mrrdr_step(state: SolverState, problem: Problem, config: SolverConfig,
-               rng: Rng) -> SolverState:
-    """One iteration: r sampled reflections, alpha-averaging, plus beta times
-    the last move."""
-    rows = problem.row_sampler.sample_many(rng, config.r)
-    return _dr_update(state, rows, config.alpha, config.beta)
+class _Trial:
+    """One lane's stop bounds, trace cadence, records and status."""
 
+    def __init__(self, index, config, state, rse, problem, metrics_fn, at_solution):
+        self.index, self.config = index, config  # the config's place in the call
+        self.per, stop, self.records = _per_iteration(config, problem), config.stop, []
+        self.note = lambda state, rse: self.records.append(
+            _record(state, problem, metrics_fn, rse))
+        self.note(state, rse)
+        # rse is never negative, so a missing tolerance is a bound of 0
+        self.tol = stop.rse_tol or 0.0
+        self.max_k, self.max_actions = (math.inf if v is None else v for v in
+                                        (stop.max_iterations, stop.max_row_actions))
+        self.next_trace = config.trace_every or math.inf
+        self.status = "converged" if at_solution or rse < self.tol else None
+        self._due()
 
-# rrdr is the momentum method at beta = 0, which its configs always hold
-rrdr_step = mrrdr_step
+    def _due(self):
+        # the first iteration at which a budget ends or a record falls due
+        actions = min(self.max_actions, self.next_trace)
+        self.due = min(self.max_k, actions if actions == math.inf
+                       else -(-actions // self.per))
 
+    def check(self, k: int, rse: float, x) -> bool:
+        # the stop tests, then the trace record, at iteration k; true at the end
+        actions = k * self.per
+        if not math.isfinite(rse):
+            self.status = "numerical-divergence"
+        elif rse > DIVERGENCE_RSE:
+            self.status = "diverged"
+        elif rse < self.tol:
+            self.status = "converged"
+        elif k >= self.max_k or actions >= self.max_actions:
+            self.status = "budget-exhausted"
+        elif actions >= self.next_trace:
+            self.note(SolverState(x=x, k=k, row_actions=actions), rse)
+            while self.next_trace <= actions:
+                self.next_trace += self.config.trace_every
+            self._due()
+        return self.status is not None
 
-def rk_step(state: SolverState, problem: Problem, config: SolverConfig,
-            rng: Rng) -> SolverState:
-    """Randomized Kaczmarz: project onto one norm-weighted sampled row."""
-    return _rk_update(state, problem.row_sampler.sample(rng))
-
-
-def rek_step(state: SolverState, problem: Problem, config: SolverConfig,
-             rng: Rng) -> SolverState:
-    """Extended Kaczmarz: one column step on the auxiliary sequence, then one
-    row projection against the corrected right-hand side."""
-    j = problem.col_sampler.sample(rng)
-    return _rek_update(state, j, problem.row_sampler.sample(rng))
-
-
-def rgs_step(state: SolverState, problem: Problem, config: SolverConfig,
-             rng: Rng) -> SolverState:
-    """Randomized Gauss-Seidel / coordinate descent on the least-squares
-    objective, with an incrementally maintained residual."""
-    return _rgs_update(state, problem.col_sampler.sample(rng), problem)
-
-
-def cyclic_dr_step(state: SolverState, problem: Problem, config: SolverConfig,
-                   rng: Rng) -> SolverState:
-    """Cyclic Douglas-Rachford: reflect through two consecutive rows in cyclic
-    order, then average."""
-    return _dr_update(state, _cyclic_rows(state, problem.A.m), config.alpha, 0.0)
-
-
-def det_rsets_dr_step(state: SolverState, problem: Problem, config: SolverConfig,
-                      rng: Rng) -> SolverState:
-    """Deterministic variant: compose all m reflections in index order."""
-    return _dr_update(state, range(problem.A.m), config.alpha, 0.0)
-
-
-def rp_admm_step(state: SolverState, problem: Problem, config: SolverConfig,
-                 rng: Rng) -> SolverState:
-    """Randomly permuted ADMM sweep on the augmented Lagrangian.
-
-    Coordinates are minimized exactly in a fresh uniform permutation against
-    partially updated values, then the multiplier takes a unit step along the
-    constraint residual.
-    """
-    return _rp_admm_update(state, rng.permutation(problem.A.n), config.penalty,
-                           problem)
-
-
-# ---------------------------------------------------------------------------
-# run: the same updates, with indices drawn in blocks
-# ---------------------------------------------------------------------------
-
-
-def _drawn(samplers, rng: Rng):
-    """Per-iteration tuples of one index from each sampler in turn, as that
-    many successive ``sample(rng)`` calls give them.  Drawn in blocks of
-    about ``DRAW_BLOCK``: a PCG64 block consumes the stream exactly like as
-    many successive scalar draws."""
-    k = len(samplers)
-    while True:
-        u = rng.uniform(k * max(1, DRAW_BLOCK // k))
-        yield from zip(*(s.lookup(u[i::k]).tolist()
-                         for i, s in enumerate(samplers)))
-
-
-def _iterations(state: SolverState, problem: Problem, config: SolverConfig,
-                rng: Rng):
-    """Apply one iteration per resume, as the method's step function would,
-    with indices from blocks of draws."""
-    method, r, alpha, beta = config.method, config.r, config.alpha, config.beta
-    m, n = problem.A.shape
-    if method in ("rrdr", "mrrdr"):
-        for rows in _drawn((problem.row_sampler,) * r, rng):
-            yield _dr_update(state, rows, alpha, beta)
-    elif method == "rk":
-        for (j,) in _drawn((problem.row_sampler,), rng):
-            yield _rk_update(state, j)
-    elif method == "rgs":
-        for (j,) in _drawn((problem.col_sampler,), rng):
-            yield _rgs_update(state, j, problem)
-    elif method == "rek":
-        for j, i in _drawn((problem.col_sampler, problem.row_sampler), rng):
-            yield _rek_update(state, j, i)
-    elif method == "rp-admm":
-        while True:
-            yield _rp_admm_update(state, rng.permutation(n).tolist(),
-                                  config.penalty, problem)
-    elif method == "cyclic-dr":
-        while True:
-            yield _dr_update(state, _cyclic_rows(state, m), alpha, 0.0)
-    else:  # det-rsets-dr
-        while True:
-            yield _dr_update(state, range(m), alpha, 0.0)
+    def result(self, lanes: _Lanes, i: int, rse: float) -> RunResult:
+        arrays = {name: getattr(lanes, name)[i].copy() for name in _LANE_ARRAYS
+                  if getattr(lanes, name) is not None and (name != "x_prev" or self.config.beta)}
+        state = SolverState(k=lanes.k, row_actions=lanes.k * self.per,
+                            cyclic_cursor=lanes.cyclic_cursor, **arrays)
+        if self.records[-1].k != state.k:
+            self.note(state, rse)
+        return RunResult(self.status, state.k, state.row_actions, rse, state.x,
+                         self.records, state)
 
 
 def init_state(problem: Problem, config: SolverConfig) -> SolverState:
     """Per-method state setup from the problem's start point."""
     x = problem.x0.astype(np.float64).copy()
-    state = SolverState(x=x, operands=_Operands(problem))
+    state = SolverState(x=x)
     if config.beta:
         state.x_prev = x.copy()  # cold start: previous iterate equals x0
     if config.method == "rek":
@@ -387,80 +405,61 @@ def _record(state: SolverState, problem: Problem, metrics_fn, rse: float):
     return rec
 
 
-def run(problem: Problem, config: SolverConfig, metrics_fn=None) -> RunResult:
-    """Drive one solver trial to its stopping rule.
+def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
+    """Drive trials of one method to their stopping rules, as one block.
 
-    Parameters
-    ----------
-    problem : Problem
-    config : SolverConfig
-        ``config.seed`` fixes the trajectory completely: it is the one that
-        ``init_state`` and successive calls of the method's step function on
-        ``Rng(config.seed)`` give.
-    metrics_fn : callable, optional
-        Maps the current iterate to ``(dir_ratio, vmin_overlap)``; attached
-        to trace records when given.
-
-    Returns
-    -------
-    RunResult
-        Terminal status, counters, trace records, and the final iterate.
-        The relative squared error (RSE) is measured against the projection
-        of the start point onto the solution set.
+    One config per trial, all of one method; ``(res,) = run(problem,
+    config)`` runs one.  ``config.seed`` fixes a trial's trajectory whatever
+    the other configs: it is the one that ``init_state`` and successive calls
+    of the method's step function on ``Rng(config.seed)`` give.
+    ``metrics_fn`` maps an iterate to ``(dir_ratio, vmin_overlap)`` for the
+    trace records.  Returns one RunResult per config, in argument order; the
+    relative squared error (RSE) is measured against the projection of the
+    start point onto the solution set.
     """
-    if config.method in ("rrdr", "mrrdr") and config.r % 2 == 0 \
+    if not configs or any(c.method != configs[0].method for c in configs):
+        raise ValueError("run takes one or more configs of one method")
+    method = configs[0].method
+    if method in ("rrdr", "mrrdr") and any(c.r % 2 == 0 for c in configs) \
             and svd_small(problem.A).rank < 2:
         raise ValueError("even-r requires rank >= 2")
-    if problem.A.zero_rows and config.method in ("cyclic-dr", "det-rsets-dr"):
+    if problem.A.zero_rows and method in ("cyclic-dr", "det-rsets-dr"):
         raise ValueError("degenerate hyperplane: zero row in cyclic sweep")
 
-    rng = Rng(config.seed)
-    state = init_state(problem, config)
-    x0_star = problem.x0_star
-    d = state.x - x0_star
+    order = sorted(range(len(configs)), key=lambda i: -configs[i].r)
+    group = [configs[i] for i in order]
+    states = [init_state(problem, c) for c in group]
+    d = states[0].x - problem.x0_star
     den = float(d @ d)
-    rse = float(d @ d) / den if den > 0.0 else 0.0
-    stop = config.stop
-    # rse is never negative, so a missing tolerance is a bound of 0
-    rse_tol = stop.rse_tol if stop.rse_tol is not None else 0.0
-    max_k = math.inf if stop.max_iterations is None else stop.max_iterations
-    max_actions = math.inf if stop.max_row_actions is None else stop.max_row_actions
-    trace_every = config.trace_every
-    next_trace = trace_every if trace_every > 0 else math.inf
-    records = [_record(state, problem, metrics_fn, rse)]
-
-    status = None
-    if den == 0.0 or rse < rse_tol:
-        status = "converged"
-    iterations = _iterations(state, problem, config, rng)
-    while status is None:
-        next(iterations)
-        np.subtract(state.x, x0_star, d)
-        rse = float(d.dot(d)) / den
-        if not math.isfinite(rse):
-            status = "numerical-divergence"
-            break
-        if rse > DIVERGENCE_RSE:
-            status = "diverged"
-            break
-        if rse < rse_tol:
-            status = "converged"
-            break
-        if state.k >= max_k:
-            status = "budget-exhausted"
-            break
-        if state.row_actions >= max_actions:
-            status = "budget-exhausted"
-            break
-        if state.row_actions >= next_trace:
-            records.append(_record(state, problem, metrics_fn, rse))
-            while next_trace <= state.row_actions:
-                next_trace += trace_every
-
-    if records[-1].k != state.k:
-        records.append(_record(state, problem, metrics_fn, rse))
-    # a sweep keeps every RunResult; the views and lists are per-trial copies
-    state.operands = None
-    return RunResult(status=status, iterations=state.k,
-                     row_actions=state.row_actions, rse=rse, x=state.x,
-                     records=records, state=state)
+    rse0 = float(d @ d) / den if den > 0.0 else 0.0
+    trials = [_Trial(i, c, s, rse0, problem, metrics_fn, den == 0.0)
+              for i, c, s in zip(order, group, states)]
+    lanes = _Lanes(problem, states, group, [Rng(c.seed) for c in group], DRAW_BLOCK)
+    update, results, rse = _UPDATES[method], [None] * len(configs), np.full(len(group), rse0)
+    while True:
+        # results of the lanes that ended, and a block of the others
+        for i, t in enumerate(trials):
+            if t.status is not None:
+                results[t.index] = t.result(lanes, i, float(rse[i]))
+        keep = [i for i, t in enumerate(trials) if t.status is None]
+        if not keep:
+            return Runs(results)
+        lanes.take(keep)
+        trials = [trials[i] for i in keep]
+        tol, due = (np.array([getattr(t, name) for t in trials], dtype=float)
+                    for name in ("tol", "due"))
+        tol_max, next_due, ended = tol.max(), due.min(), False
+        while not ended:
+            update(lanes, problem, lanes.draw())
+            k, d = lanes.k, lanes.x - problem.x0_star
+            sq = np.vecdot(d, d)
+            # division by den keeps order, so unless these fail, no lane
+            # can end or need a record
+            if k < next_due and sq.max() / den <= DIVERGENCE_RSE \
+                    and sq.min() / den >= tol_max:
+                continue
+            rse = sq / den
+            for i in np.flatnonzero(~(rse <= DIVERGENCE_RSE) | (rse < tol) | (due <= k)):
+                ended |= trials[i].check(k, float(rse[i]), lanes.x[i])
+                due[i] = trials[i].due
+            next_due = due.min()

@@ -207,7 +207,7 @@ def test_criterion_06_cyclic_failure_random_recovery():
         det_cfg = SolverConfig(
             method="det-rsets-dr", alpha=0.5, trace_every=1,
             stop=StopRule(rse_tol=None, max_iterations=1000))
-        stalled = run(problem, det_cfg)
+        (stalled,) = run(problem, det_cfg)
         assert stalled.status == "budget-exhausted"
         assert stalled.iterations == 1000
         drift = max(abs(rec.rse - 1.0) for rec in stalled.records)
@@ -217,7 +217,7 @@ def test_criterion_06_cyclic_failure_random_recovery():
             cfg = SolverConfig(
                 method="rrdr", r=3, alpha=0.5, seed=seed,
                 stop=StopRule(rse_tol=1e-9, max_row_actions=10_000))
-            out = run(problem, cfg)
+            (out,) = run(problem, cfg)
             assert out.status == "converged", f"seed={seed}"
             assert out.rse < 1e-9
             assert out.row_actions <= 10_000
@@ -246,7 +246,7 @@ def test_criterion_07_momentum_linear_region():
                 method="mrrdr", r=r, alpha=alpha, beta=beta,
                 seed=g.child(2).seed,
                 stop=StopRule(rse_tol=1e-6, max_iterations=4 * k_star))
-            out = run(problem, cfg)
+            (out,) = run(problem, cfg)
             assert out.status == "converged", f"draw={t}"
 
 
@@ -285,15 +285,14 @@ def test_criterion_09_recommended_momentum_wins():
         problem = conditioned_problem(500, 100, 1e4, 2024)
 
         def median_iterations(method, beta):
-            counts = []
-            for seed in range(1, 11):
-                cfg = SolverConfig(
-                    method=method, r=2, alpha=0.5, beta=beta, seed=seed,
-                    stop=StopRule(rse_tol=1e-12, max_iterations=300_000))
-                out = run(problem, cfg)
+            # the ten seeds run as one block; each trial is what it is alone
+            outs = run(problem, *(SolverConfig(
+                method=method, r=2, alpha=0.5, beta=beta, seed=seed,
+                stop=StopRule(rse_tol=1e-12, max_iterations=300_000))
+                for seed in range(1, 11)))
+            for seed, out in enumerate(outs, start=1):
                 assert out.status == "converged", (method, seed)
-                counts.append(out.iterations)
-            return float(np.median(counts))
+            return float(np.median([out.iterations for out in outs]))
 
         with_momentum = median_iterations("mrrdr", 0.4)
         without = median_iterations("rrdr", 0.0)
@@ -311,7 +310,7 @@ def test_criterion_10_average_consensus():
             cfg = SolverConfig(
                 method="rrdr", r=2, alpha=0.5, seed=4242,
                 stop=StopRule(rse_tol=3e-14, max_row_actions=2_000_000))
-            out = run(problem, cfg)
+            (out,) = run(problem, cfg)
             assert out.status == "converged", topology
             assert float(np.max(np.abs(out.x - target))) <= 1e-6, topology
 
@@ -328,7 +327,7 @@ def test_criterion_11_semiconvergence_diagnostics():
         cfg = SolverConfig(
             method="rrdr", r=3, alpha=0.5, seed=1, trace_every=250,
             stop=StopRule(rse_tol=1e-12, max_row_actions=30_000))
-        out = run(problem, cfg,
+        (out,) = run(problem, cfg,
                   metrics_fn=lambda x: compute_direction_metrics(x, problem,
                                                                  v_min))
         first, last = out.records[0], out.records[-1]
@@ -369,7 +368,7 @@ def test_criterion_12_baseline_sanity():
                 cfg = SolverConfig(
                     method=method, penalty=1.0, seed=seed * 11 + 5,
                     stop=StopRule(rse_tol=1e-8, max_row_actions=budget))
-                out = run(problem, cfg)
+                (out,) = run(problem, cfg)
                 assert out.status == "converged", (method, seed)
                 assert out.rse < 1e-8
                 assert out.row_actions <= budget

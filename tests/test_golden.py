@@ -10,7 +10,11 @@ updates them on purpose, with the reason recorded in CHANGES.md.
 
 The digests were computed with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64,
 DYNAMIC_ARCH build), Python 3.11.  Another BLAS build may sum dot products in
-another order and change the last bits of the CSVs.  The synthetic digests
+another order and change the last bits of the CSVs.  ``run`` advances all
+trials of a method as one block and takes each lane's dots with ``np.vecdot``
+over gathered rows; the digests rest on that summing each row exactly as
+``ndarray.dot`` does, contiguous rows and strided column copies alike, which
+``tests/test_solvers.py::test_lane_dot_matches_ndarray_dot`` checks by name.  The synthetic digests
 take ``x0_star`` from LAPACK's SVD of the problem matrix; they read the same
 with one and with two BLAS threads.
 
@@ -37,8 +41,8 @@ SWEEP_CELLS = ((0.1, 0.8), (0.5, 0.4), (0.9, 0.8))
 
 GOLDEN = {
     "fig-failure": (
-        "189e5678679d9b46b2ca547ca068906975b779ca8e717c2e431881f8c2e282ef",
-        "d9f9b7a3432b506a8e92d6aa9c744ce3ec2948ce7f75776bd069cf4f7dc9a2ed"),
+        "11d38defc6ab1c41db1a1c20d6c578efc2c6147e14026008c424a17400ecd2e8",
+        "b8636c7bdf076fef07112f3fe702c3da545c2f29ccaaaef4ab2f7e14b4549dd7"),
     "fig-baselines": (
         "bcf59b058dd490060d07c225908e5d0d358b2a235ee65dd22aebe73b497e17f2",
         "f779c38054d620a4f708cb34ce540ac312ec05d42a4bd52dc13abcf3331c4ad2"),

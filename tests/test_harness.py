@@ -98,6 +98,13 @@ def test_parse_grid_spans_only_read_parameters():
     assert labels.count("rk") == 1
 
 
+def test_parse_grid_det_rsets_dr_builds_one_config():
+    # det-rsets-dr composes all m rows and reads no r, so a grid over r
+    # runs it once, under a label without r
+    spec = parse_config("[solvers]\nmethods = det-rsets-dr\nr = 1, 2\n")
+    assert [c.label() for c in spec.configs] == ["det-rsets-dr[a=0.5]"]
+
+
 def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError, match="line 3: unknown key 'colour'"):
         parse_config("[problem]\nsource = synthetic\ncolour = red\n")

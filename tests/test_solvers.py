@@ -130,8 +130,8 @@ def test_solution_is_fixed_point(method):
 def test_rk_equals_r1_half_relaxation():
     problem = synthetic_problem(20, 8, seed=14)
     kwargs = dict(seed=5, stop=StopRule(rse_tol=None, max_iterations=200))
-    res_rk = run(problem, SolverConfig(method="rk", **kwargs))
-    res_dr = run(problem, SolverConfig(method="rrdr", r=1, alpha=0.5, **kwargs))
+    (res_rk,) = run(problem, SolverConfig(method="rk", **kwargs))
+    (res_dr,) = run(problem, SolverConfig(method="rrdr", r=1, alpha=0.5, **kwargs))
     scale = np.linalg.norm(problem.x0_star)
     assert np.abs(res_rk.x - res_dr.x).max() <= 1e-9 * scale
     assert res_rk.row_actions == res_dr.row_actions
@@ -141,8 +141,8 @@ def test_momentum_beta_zero_bitwise_reduction():
     problem = synthetic_problem(15, 6, seed=23)
     kwargs = dict(r=2, alpha=0.6, seed=11,
                   stop=StopRule(rse_tol=None, max_iterations=150))
-    res_a = run(problem, SolverConfig(method="rrdr", **kwargs))
-    res_b = run(problem, SolverConfig(method="mrrdr", beta=0.0, **kwargs))
+    (res_a,) = run(problem, SolverConfig(method="rrdr", **kwargs))
+    (res_b,) = run(problem, SolverConfig(method="mrrdr", beta=0.0, **kwargs))
     np.testing.assert_array_equal(res_a.x, res_b.x)
     assert res_a.rse == res_b.rse
 
@@ -150,17 +150,19 @@ def test_momentum_beta_zero_bitwise_reduction():
 @pytest.mark.parametrize("method", METHODS)
 def test_run_matches_public_step_replay(method):
     # the per-call step functions are the reference for run(): k steps
-    # on one stream give the run's iterate bit for bit.  k crosses a
-    # boundary of the blocks run() draws indices in.
+    # on one stream give the run's iterate bit for bit.  A lone lane draws
+    # DRAW_BLOCK uniforms at a time, so k crosses a refill of its block;
+    # cyclic-dr, det-rsets-dr and rp-admm draw no uniforms.
     from rdr_lab import solvers
 
     step = getattr(solvers, method.replace("-", "_") + "_step")
-    k = solvers.DRAW_BLOCK + 7
+    draws = {"rrdr": 3, "mrrdr": 3, "rk": 1, "rgs": 1, "rek": 2}.get(method)
+    k = solvers.DRAW_BLOCK // draws + 7 if draws else 107
     problem = synthetic_problem(12, 5, seed=64)
     cfg = SolverConfig(method=method, r=3, alpha=0.5, beta=0.3, seed=2718,
                        stop=StopRule(rse_tol=None, max_iterations=k),
                        trace_every=50)
-    res = run(problem, cfg)
+    (res,) = run(problem, cfg)
     state = init_state(problem, cfg)
     rng = Rng(cfg.seed)
     for _ in range(k):
@@ -170,12 +172,91 @@ def test_run_matches_public_step_replay(method):
     np.testing.assert_array_equal(res.x, state.x)
 
 
+def _assert_same_trial(got, want):
+    assert (got.status, got.iterations, got.row_actions) \
+        == (want.status, want.iterations, want.row_actions)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.rse).tobytes() == np.float64(want.rse).tobytes()
+    assert got.records == want.records
+    for name in ("x_prev", "z_aux", "mu", "residual", "z_last"):
+        a, b = getattr(got.state, name), getattr(want.state, name)
+        assert (a is None) == (b is None), name
+        assert a is None or a.tobytes() == b.tobytes(), name
+
+
+def _mixed_group(method):
+    """Configs of one method that differ in every field run() reads per
+    lane, and end converged, diverged or budget-exhausted at different
+    iterations."""
+    stops = [StopRule(rse_tol=1e-6, max_row_actions=40_000),
+             StopRule(rse_tol=None, max_iterations=37),
+             StopRule(rse_tol=1e-2, max_row_actions=5_000),
+             StopRule(rse_tol=1e-12, max_row_actions=123),
+             StopRule(rse_tol=1e-4, max_iterations=60)]
+    configs = [SolverConfig(method=method, r=1 + i % 3, alpha=0.3 + 0.1 * i,
+                            beta=0.1 * (i % 3), penalty=0.5 + i, seed=100 + i,
+                            stop=stop, trace_every=(0, 7, 10, 1, 25)[i])
+               for i, stop in enumerate(stops)]
+    if method == "mrrdr":
+        configs.append(SolverConfig(method="mrrdr", r=2, alpha=0.9, beta=0.95,
+                                    seed=3, trace_every=5,
+                                    stop=StopRule(rse_tol=1e-12, max_iterations=10_000)))
+    return configs
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_grouped_trials_match_lone_runs(method):
+    # a trial's result does not depend on the other trials of its run call
+    problem = synthetic_problem(20, 8, seed=1)
+    configs = _mixed_group(method)
+    runs = run(problem, *configs)
+    assert len(runs) == len(configs)
+    for cfg, res in zip(configs, runs):
+        (alone,) = run(problem, cfg)
+        _assert_same_trial(res, alone)
+    statuses = [res.status for res in runs]
+    assert {"converged", "budget-exhausted"} <= set(statuses)
+    assert len({res.iterations for res in runs}) >= 4
+    if method == "mrrdr":
+        assert "diverged" in statuses
+    assert runs.iterations == sum(res.iterations for res in runs)
+    assert runs.row_actions == sum(res.row_actions for res in runs)
+
+
+def test_run_takes_configs_of_one_method():
+    problem = synthetic_problem(12, 5, seed=3)
+    with pytest.raises(ValueError, match="one method"):
+        run(problem)
+    with pytest.raises(ValueError, match="one method"):
+        run(problem, SolverConfig(method="rk"), SolverConfig(method="rrdr"))
+
+
+@pytest.mark.parametrize("n", (1, 3, 7, 50, 128, 500))
+def test_lane_dot_matches_ndarray_dot(n):
+    # run() takes each lane's dots with np.vecdot over gathered rows and
+    # strided column copies; they must sum as ndarray.dot does on one row
+    # or one column view of A, or no lane keeps its one-trial bits
+    from rdr_lab import solvers
+
+    rng = np.random.default_rng(n)
+    A = Matrix(rng.standard_normal((n + 5, n)))
+    for T in (1, 10, 250):
+        rows, cols = rng.integers(0, A.m, T), rng.integers(0, n, T)
+        z, w = rng.standard_normal((T, n)), rng.standard_normal((T, A.m))
+        got = np.vecdot(A.entries.take(rows, 0), z)
+        want = [A.entries[i].dot(zi) for i, zi in zip(rows, z)]
+        assert got.tobytes() == np.array(want).tobytes(), ("rows", T)
+        got = np.vecdot(solvers._columns(A, cols), w)
+        want = [A.entries.T[j].dot(wi) for j, wi in zip(cols, w)]
+        assert got.tobytes() == np.array(want).tobytes(), ("columns", T)
+
+
 def test_deterministic_replay():
     problem = synthetic_problem(25, 10, seed=31)
     cfg = SolverConfig(method="mrrdr", r=3, alpha=0.5, beta=0.3, seed=404,
                        stop=StopRule(rse_tol=None, max_iterations=100),
                        trace_every=10)
-    res1, res2 = run(problem, cfg), run(problem, cfg)
+    (res1,), (res2,) = run(problem, cfg), run(problem, cfg)
     np.testing.assert_array_equal(res1.x, res2.x)
     assert [r.row_actions for r in res1.records] == [r.row_actions for r in res2.records]
     assert [r.rse for r in res1.records] == [r.rse for r in res2.records]
@@ -203,7 +284,7 @@ def test_rek_converges_to_projected_solution():
     problem = synthetic_problem(30, 12, seed=44)
     cfg = SolverConfig(method="rek", seed=9,
                        stop=StopRule(rse_tol=1e-12, max_row_actions=200_000))
-    res = run(problem, cfg)
+    (res,) = run(problem, cfg)
     assert res.status == "converged"
     scale = np.linalg.norm(problem.x0_star)
     assert np.linalg.norm(res.x - problem.x0_star) <= 1e-5 * scale
@@ -225,7 +306,7 @@ def test_rgs_drives_residual_down():
     problem = synthetic_problem(30, 8, seed=61)
     cfg = SolverConfig(method="rgs", seed=2,
                        stop=StopRule(rse_tol=1e-12, max_row_actions=50_000))
-    res = run(problem, cfg)
+    (res,) = run(problem, cfg)
     assert res.status == "converged"
     r0 = res.records[0].residual_norm2
     assert res.records[-1].residual_norm2 <= 1e-4 * r0
@@ -264,7 +345,7 @@ def test_even_r_needs_rank_two():
             run(problem, SolverConfig(method=method, r=2,
                                       stop=StopRule(rse_tol=None, max_iterations=1)))
         # odd r runs fine
-        res = run(problem, SolverConfig(method=method, r=1,
+        (res,) = run(problem, SolverConfig(method=method, r=1,
                                         stop=StopRule(rse_tol=None, max_iterations=5)))
         assert res.iterations == 5
 
@@ -408,7 +489,7 @@ def test_one_step_branch_mean():
 
 def test_run_start_at_solution():
     problem = _at_solution(synthetic_problem(10, 4, seed=70))
-    res = run(problem, SolverConfig(method="rrdr", seed=0))
+    (res,) = run(problem, SolverConfig(method="rrdr", seed=0))
     assert res.status == "converged"
     assert res.iterations == 0
     assert res.rse == 0.0
@@ -418,7 +499,7 @@ def test_run_identity_matches_hand_iteration():
     problem = _identity_problem(n=2, seed=12)
     cfg = SolverConfig(method="rrdr", r=1, alpha=0.5, seed=9, trace_every=1,
                        stop=StopRule(rse_tol=1e-12, max_row_actions=100))
-    res = run(problem, cfg)
+    (res,) = run(problem, cfg)
     assert res.status == "converged"
     assert res.row_actions <= 80
 
@@ -442,7 +523,7 @@ def test_run_trace_cadence():
     problem = synthetic_problem(12, 5, seed=81)
     cfg = SolverConfig(method="rk", seed=4, trace_every=3,
                        stop=StopRule(rse_tol=None, max_row_actions=10))
-    res = run(problem, cfg)
+    (res,) = run(problem, cfg)
     assert res.status == "budget-exhausted"
     assert [r.row_actions for r in res.records] == [0, 3, 6, 9, 10]
     ks = [r.k for r in res.records]
@@ -453,7 +534,7 @@ def test_run_divergence_status():
     problem = synthetic_problem(20, 8, seed=1)
     cfg = SolverConfig(method="mrrdr", r=2, alpha=0.9, beta=0.95, seed=3,
                        stop=StopRule(rse_tol=1e-12, max_iterations=10_000))
-    res = run(problem, cfg)
+    (res,) = run(problem, cfg)
     assert res.status == "diverged"
     assert res.rse > DIVERGENCE_RSE
 
@@ -470,7 +551,7 @@ def test_run_numerical_divergence_status():
     cfg = SolverConfig(method="mrrdr", r=1, alpha=0.9, beta=0.8, seed=0,
                        stop=StopRule(rse_tol=1e-12, max_iterations=100))
     with np.errstate(over="ignore", invalid="ignore"):
-        res = run(problem, cfg)
+        (res,) = run(problem, cfg)
     assert res.status == "numerical-divergence"
 
 
@@ -478,7 +559,7 @@ def test_run_failure_instance_cycles():
     problem = three_lines_failure_problem()
     cfg = SolverConfig(method="det-rsets-dr", alpha=0.5,
                        stop=StopRule(rse_tol=None, max_iterations=1000))
-    res = run(problem, cfg)
+    (res,) = run(problem, cfg)
     assert res.status == "budget-exhausted"
     assert res.rse == pytest.approx(1.0, abs=1e-12)  # never moved
 
@@ -487,7 +568,7 @@ def test_run_failure_instance_randomized_escapes():
     problem = three_lines_failure_problem()
     cfg = SolverConfig(method="rrdr", r=3, alpha=0.5, seed=2,
                        stop=StopRule(rse_tol=1e-9, max_row_actions=100_000))
-    res = run(problem, cfg)
+    (res,) = run(problem, cfg)
     assert res.status == "converged"
 
 
@@ -498,7 +579,7 @@ def test_run_counts_row_actions_per_method():
                              ("det-rsets-dr", 9), ("rp-admm", 4)):
         cfg = SolverConfig(method=method, r=3,
                            stop=StopRule(rse_tol=None, max_iterations=4))
-        res = run(problem, cfg)
+        (res,) = run(problem, cfg)
         assert res.row_actions == 4 * per_iter, method
 
 
@@ -506,7 +587,7 @@ def test_run_records_monotone_counters():
     problem = synthetic_problem(15, 6, seed=90)
     cfg = SolverConfig(method="rrdr", r=2, seed=8, trace_every=6,
                        stop=StopRule(rse_tol=1e-12, max_row_actions=2000))
-    res = run(problem, cfg)
+    (res,) = run(problem, cfg)
     ra = [r.row_actions for r in res.records]
     assert ra == sorted(ra)
     assert res.records[0].row_actions == 0
