@@ -154,25 +154,38 @@ class _Lanes:
         # a lane without momentum never reads its previous iterate
         self.x_prev = stack([s.x if s.x_prev is None else s.x_prev for s in states]) \
             if any(c.beta for c in configs) else None
-        for name in ("r", "alpha", "beta", "penalty"):
-            setattr(self, name, np.array([[getattr(c, name)] for c in configs]))
+        # a column of each parameter the method reads
+        read = PARAMS[configs[0].method]
+        for name in _TAGS:
+            setattr(self, name, np.array([[getattr(c, name)] for c in configs])
+                    if name in read else None)
         self.samplers = [getattr(problem, f"{name}_sampler")
                          for name in _SAMPLERS.get(configs[0].method, ())]
         # a sampled method draws one index per row action
         self.per = np.array([_per_iteration(c, problem) for c in configs])
         self.rngs = np.fromiter(rngs, object)  # an array, so ``take`` applies
         self.size, self.z_last, self.drawn = size, None, None
-        self.take(slice(None))
+        self._derive()
 
-    def take(self, keep):
-        """Keep only the lanes ``keep``, in that order."""
+    def _derive(self):
+        # the fields that follow from the lanes' parameters
+        self.lane = np.arange(len(self.per))
+        if self.alpha is not None:
+            self.stay = 1.0 - self.alpha
+        if self.r is not None:
+            # prefix[j] = the number of lanes with r > j
+            self.prefix = np.bincount(self.r[:, 0])[:0:-1].cumsum()[::-1].tolist()
+        # where the momentum term applies: every lane (True), no lane (None)
+        # or the lanes of a mask
+        mom = 0 if self.beta is None else np.count_nonzero(self.beta)
+        self.mom = None if not mom else True if mom == len(self.beta) else self.beta != 0.0
+
+    def take(self, keep: np.ndarray):
+        """Keep only the lanes ``keep``, an index array, in that order."""
         for name in _PER_LANE:
-            if getattr(self, name) is not None:
-                setattr(self, name, getattr(self, name)[keep])
-        self.stay, self.lane = 1.0 - self.alpha, np.arange(len(self.x))
-        self.prefix = (self.r > np.arange(self.r[0, 0])).sum(0).tolist()
-        mom = np.flatnonzero(self.beta)  # the lanes with momentum
-        self.mom = slice(None) if mom.size == self.lane.size else mom if mom.size else None
+            if (rows := getattr(self, name)) is not None:
+                setattr(self, name, rows[keep])
+        self._derive()
 
     def draw(self):
         """Each lane's indices for its next iteration, a row each; the
@@ -207,13 +220,18 @@ def _dr_update(lanes: _Lanes, problem: Problem, rows):
         zj = z if isinstance(j, int) else z[:len(j)]
         a = A.take(j, 0)
         c = np.vecdot(a, zj) - b[j]
-        zj -= a * ((c + c) / rn[j])[:, None]  # c + c is 2.0 * c, bit for bit
+        f = ((c + c) / rn[j])[:, None]  # c + c is 2.0 * c, bit for bit
+        # the gathered rows of an index array are scaled in place; one row
+        # of all lanes is scaled into a new block
+        zj -= np.multiply(a, f, out=a if a.ndim == 2 else None)
     out = x * lanes.stay
     out += z * lanes.alpha
     if (m := lanes.mom) is not None:
-        # only lanes with beta != 0: adding 0 * (x - x_prev) would turn -0.0
-        # into +0.0 and inf into nan
-        out[m] += (x[m] - lanes.x_prev[m]) * lanes.beta[m]
+        # masked, not gathered: adding 0 * (x - x_prev) on a lane with
+        # beta = 0 would turn -0.0 into +0.0 and inf into nan
+        move = np.subtract(x, lanes.x_prev, out=np.empty_like(x), where=m)
+        np.multiply(move, lanes.beta, out=move, where=m)
+        np.add(out, move, out=out, where=m)
         lanes.x_prev = x
     lanes.x, lanes.z_last = out, z
     lanes.k += 1
@@ -432,23 +450,24 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     d = states[0].x - problem.x0_star
     den = float(d @ d)
     rse0 = float(d @ d) / den if den > 0.0 else 0.0
-    trials = [_Trial(i, c, s, rse0, problem, metrics_fn, den == 0.0)
-              for i, c, s in zip(order, group, states)]
+    trials = np.fromiter((_Trial(i, c, s, rse0, problem, metrics_fn, den == 0.0)
+                          for i, c, s in zip(order, group, states)), object)
     lanes = _Lanes(problem, states, group, [Rng(c.seed) for c in group], DRAW_BLOCK)
     update, results, rse = _UPDATES[method], [None] * len(configs), np.full(len(group), rse0)
+    tol, due = (np.array([getattr(t, name) for t in trials], dtype=float)
+                for name in ("tol", "due"))
+    ended = [i for i, t in enumerate(trials) if t.status is not None]
     while True:
         # results of the lanes that ended, and a block of the others
-        for i, t in enumerate(trials):
-            if t.status is not None:
-                results[t.index] = t.result(lanes, i, float(rse[i]))
-        keep = [i for i, t in enumerate(trials) if t.status is None]
-        if not keep:
+        for i in ended:
+            results[trials[i].index] = trials[i].result(lanes, i, float(rse[i]))
+        if len(ended) == len(trials):
             return Runs(results)
-        lanes.take(keep)
-        trials = [trials[i] for i in keep]
-        tol, due = (np.array([getattr(t, name) for t in trials], dtype=float)
-                    for name in ("tol", "due"))
-        tol_max, next_due, ended = tol.max(), due.min(), False
+        if ended:
+            keep = np.delete(np.arange(len(trials)), ended)
+            lanes.take(keep)
+            trials, tol, due = trials[keep], tol[keep], due[keep]
+        tol_max, next_due, ended = tol.max(), due.min(), []
         while not ended:
             update(lanes, problem, lanes.draw())
             k, d = lanes.k, lanes.x - problem.x0_star
@@ -460,6 +479,7 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
                 continue
             rse = sq / den
             for i in np.flatnonzero(~(rse <= DIVERGENCE_RSE) | (rse < tol) | (due <= k)):
-                ended |= trials[i].check(k, float(rse[i]), lanes.x[i])
+                if trials[i].check(k, float(rse[i]), lanes.x[i]):
+                    ended.append(i)
                 due[i] = trials[i].due
             next_due = due.min()

@@ -2,8 +2,9 @@
 
 The sha256 of each trace and summary CSV is pinned for a small set of preset
 runs that together reach every method, beta = 0 and beta > 0, and the
-converged, diverged and budget-exhausted statuses.  ``_meta.txt`` is left out
-because it records ``wall_clock_seconds``.
+converged, diverged and budget-exhausted statuses.  The ``fig-r-sweep`` slice
+runs lanes of several r, with and without momentum, in one block.
+``_meta.txt`` is left out because it records ``wall_clock_seconds``.
 
 A refactor of the solvers or the harness either keeps these digests or
 updates them on purpose, with the reason recorded in CHANGES.md.
@@ -38,6 +39,9 @@ TRIALS = 2
 
 # (alpha, beta) cells of fig-param-sweep kept at r = 3; the last one diverges
 SWEEP_CELLS = ((0.1, 0.8), (0.5, 0.4), (0.9, 0.8))
+# r values of fig-r-sweep kept, each with and without momentum: one block
+# mixes reflection prefixes and lanes with and without momentum
+R_SWEEP_RS = (1, 2, 7, 20)
 
 GOLDEN = {
     "fig-failure": (
@@ -49,6 +53,9 @@ GOLDEN = {
     "fig-vs-cyclic": (
         "3d165fa9f90f1d81d7ced5e76db6659f6e44b986e06469da05fa1dc2bbea91f7",
         "c125bed1a78f3350e07a0ffc1f5339a89ccc7960f02b5c0b98ce42b855d07678"),
+    "fig-r-sweep": (
+        "de8c5acf2e8e997d146836d30fd34cc1dc8a50c5556f04afe752f4ae48e65517",
+        "9062ea3f5922e8cb1ee785d92c79bc63b782081965e9cee0566ee24667bb07ac"),
     "fig-param-sweep": (
         "4b1edc0a8ba33b9404cdeec2a987ea782ca88203b0c1b1e65a5d29e3380251e6",
         "5c93297d5ab8cb80a8bfd14d9dee2e45183d0f3f60a7564a74cba82391ebc7a1"),
@@ -60,6 +67,8 @@ def _spec(name):
     if name == "fig-param-sweep":
         spec.configs = [c for c in spec.configs
                         if c.r == 3 and (c.alpha, c.beta) in SWEEP_CELLS]
+    if name == "fig-r-sweep":
+        spec.configs = [c for c in spec.configs if c.r in R_SWEEP_RS]
     return spec
 
 
@@ -90,3 +99,7 @@ def test_golden_inputs_reach_every_method_and_status(outputs):
     assert {"converged", "diverged", "budget-exhausted"} <= statuses
     betas = {c.beta for c in configs if c.method == "mrrdr"}
     assert 0.0 in betas and any(b > 0.0 for b in betas)
+    # one run call mixes reflection counts and lanes with and without momentum
+    assert any(len({c.r for c in spec.configs if c.method == "mrrdr"}) > 1
+               and {c.beta > 0.0 for c in spec.configs if c.method == "mrrdr"}
+               == {False, True} for spec, _ in outputs.values())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rdr_lab.sampling import (
+    GUIDE_MIN,
     Rng,
     WeightedSampler,
     _splitmix64,
@@ -116,7 +117,7 @@ def test_sampler_total_matches_frobenius():
 
 
 def test_sampler_rejects_invalid_weights():
-    for bad in ([], [0.0, 0.0], [1.0, -0.5], [np.inf, 1.0], [np.nan]):
+    for bad in ([], [0.0, 0.0], [1.0, -0.5], [np.inf, 1.0], [np.nan], [1e308, 1e308]):
         with pytest.raises(ValueError, match="invalid weights"):
             WeightedSampler(bad)
 
@@ -184,6 +185,71 @@ def test_sampler_draws_have_positive_weight(weights, seed):
     assert np.all(w[idx] > 0.0)
     r = Rng(seed)
     assert all(w[s.sample(r)] > 0.0 for _ in range(32))
+
+
+def _zero_laden(rng, n):
+    w = np.where(rng.uniform(size=n) < 0.7, 0.0, rng.uniform(size=n))
+    w[rng.integers(n)] = 1.0
+    return w
+
+
+_WEIGHTS = {
+    "uniform": lambda rng, n: rng.uniform(0.5, 1.5, n),
+    "heavy-tailed": lambda rng, n: np.exp(rng.normal(0.0, 8.0, n)),
+    "zero-laden": _zero_laden,
+    "single-positive": lambda rng, n: 2.5 * (np.arange(n) == rng.integers(n)),
+    "subnormal": lambda rng, n: np.array([5e-324]),
+}
+# scalar, 1-d and 3-d draws on both sides of the guide table's crossover
+_SHAPES = ((), (1,), (GUIDE_MIN - 1,), (GUIDE_MIN,), (2, 3, 5), (3, 40, 7))
+
+
+class _CountingBounds(np.ndarray):
+    """Cumulative weights that record the size of each binary search."""
+
+    def searchsorted(self, v, side="left"):
+        self.calls.append(np.size(v))
+        return np.asarray(self).searchsorted(v, side=side)
+
+
+def _binary_search(s, w, u):
+    bounds = s.cumulative_weights[:np.flatnonzero(w > 0.0)[-1]]
+    return np.searchsorted(bounds, np.multiply(u, s.total), side="right")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_WEIGHTS)), st.integers(min_value=1, max_value=300),
+       st.sampled_from(_SHAPES), st.integers(min_value=0, max_value=2**32))
+def test_lookup_equals_binary_search(kind, n, shape, seed):
+    # the guide table starts each draw at or before its index and checks
+    # where it lands, so every draw selects what a binary search selects
+    rng = np.random.default_rng(seed)
+    w = _WEIGHTS[kind](rng, n)
+    s = WeightedSampler(w)
+    edges = (0.0, np.nextafter(1.0, 0.0))
+    for u in (edges + (rng.uniform(),) if shape == () else (rng.uniform(size=shape),)):
+        if np.ndim(u):
+            u.flat[:2] = edges
+        got, want = s.lookup(u), _binary_search(s, w, u)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+def test_lookup_reaches_binary_search_fallback():
+    # heavy-tailed weights crowd many intervals into one slice of the guide,
+    # beyond its two steps: only those draws take the binary search
+    rng = np.random.default_rng(5)
+    w = _WEIGHTS["heavy-tailed"](rng, 300)
+    s = WeightedSampler(w)
+    s._bounds = s._bounds.view(_CountingBounds)
+    s._bounds.calls = []
+    u = rng.uniform(size=(4, 1024))
+    np.testing.assert_array_equal(s.lookup(u), _binary_search(s, w, u))
+    assert len(s._bounds.calls) == 1 and 0 < s._bounds.calls[0] < u.size // 10
+    # below the crossover a call is one binary search
+    s._bounds.calls.clear()
+    np.testing.assert_array_equal(s.lookup(u[0, :GUIDE_MIN - 1]),
+                                  _binary_search(s, w, u[0, :GUIDE_MIN - 1]))
+    assert s._bounds.calls == [GUIDE_MIN - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,26 @@ def test_grouped_trials_match_lone_runs(method):
     assert runs.row_actions == sum(res.row_actions for res in runs)
 
 
+def test_mixed_momentum_block_keeps_signed_zero():
+    # a lane with beta = 0 in a block with momentum lanes gets no momentum
+    # term at all: adding 0 * (x - x_prev) would turn its -0.0 into +0.0.
+    # Column 1 is zero and x0[1] = -0.0; x[0] stays above the solution, so
+    # every reflection subtracts +0.0 there and a lone beta = 0 run keeps -0.0
+    A = Matrix([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
+    x_star = np.array([1.0, 0.0])
+    problem = Problem(A=A, b=A.entries @ x_star, x_star=x_star,
+                      x0=np.array([3.0, -0.0]), x0_star=np.array([1.0, -0.0]),
+                      label="zero-column")
+    configs = [SolverConfig(method="mrrdr", r=1, alpha=0.1, beta=beta, seed=seed,
+                            stop=StopRule(rse_tol=1e-12, max_iterations=40))
+               for beta, seed in ((0.3, 1), (0.0, 2), (0.2, 3), (0.0, 4))]
+    runs = run(problem, *configs)
+    for cfg, res in zip(configs, runs):
+        (alone,) = run(problem, cfg)
+        _assert_same_trial(res, alone)
+        assert np.signbit(res.x[1]) == (cfg.beta == 0.0)
+
+
 def test_run_takes_configs_of_one_method():
     problem = synthetic_problem(12, 5, seed=3)
     with pytest.raises(ValueError, match="one method"):
