@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import svd_small
 from .problems import Problem
-from .sampling import Rng
+from .sampling import MASK64, Rng
 
 # the SolverConfig fields each method reads, in label order
 PARAMS = {"rrdr": ("r", "alpha"), "mrrdr": ("r", "alpha", "beta"), "rk": (),
@@ -48,6 +48,15 @@ class StopRule:
             raise ValueError("invalid parameter: rse_tol must be positive")
 
 
+def _whole(value) -> int | None:
+    """``value`` as an int if it is a whole number, else None."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Method selection plus every tunable the methods share.
@@ -68,8 +77,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method}")
-        if int(self.r) != self.r or self.r < 1:
+        # r and seed are kept as ints, so r=2.0 runs, labels and hashes as r=2
+        r, seed = _whole(self.r), _whole(self.seed)
+        if r is None or r < 1:
             raise ValueError("invalid parameter: r must be a positive integer")
+        if seed is None or not 0 <= seed <= MASK64:
+            raise ValueError("invalid parameter: seed must be an integer in [0, 2**64)")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "seed", seed)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("invalid parameter: alpha must lie in (0, 1)")
         if not (0.0 <= self.beta < 1.0):
@@ -131,9 +146,9 @@ class Runs(tuple):
     row_actions = property(lambda self: sum(res.row_actions for res in self))
 
 
-# a block's rows: SolverState arrays, parameters, row actions an iteration, draws
+# a block's rows: SolverState arrays, parameters, row actions an iteration, streams
 _LANE_ARRAYS = ("x", "x_prev", "z_aux", "mu", "residual", "z_last")
-_PER_LANE = _LANE_ARRAYS + ("r", "alpha", "beta", "penalty", "per", "rngs", "drawn")
+_PER_LANE = _LANE_ARRAYS + ("r", "alpha", "beta", "penalty", "per", "rngs")
 
 
 class _Lanes:
@@ -141,8 +156,11 @@ class _Lanes:
 
     Lanes are sorted by ``r``, highest first, so reflection j of an iteration
     acts on the leading ``prefix[j]`` lanes.  Each lane draws from its own
-    stream, about ``size`` uniforms for all lanes at a time; PCG64 consumes a
-    stream for ``random(size)`` exactly as for ``size`` scalar draws."""
+    stream, about ``size`` uniforms for all lanes at a time, into its own
+    stretch of one flat block; PCG64 fills ``random(out=...)`` exactly as it
+    draws ``random(size)`` or ``size`` scalars.  A lane that leaves keeps its
+    rows of the drawn indices, which ``draw`` reads through a map of the
+    lanes that stay until the next refill."""
 
     def __init__(self, problem: Problem, states, configs, rngs, size: int):
         # a step function's one lane is a view of its state
@@ -164,7 +182,7 @@ class _Lanes:
         # a sampled method draws one index per row action
         self.per = np.array([_per_iteration(c, problem) for c in configs])
         self.rngs = np.fromiter(rngs, object)  # an array, so ``take`` applies
-        self.size, self.z_last, self.drawn = size, None, None
+        self.size, self.z_last, self.drawn, self.row = size, None, None, None
         self._derive()
 
     def _derive(self):
@@ -175,16 +193,19 @@ class _Lanes:
         if self.r is not None:
             # prefix[j] = the number of lanes with r > j
             self.prefix = np.bincount(self.r[:, 0])[:0:-1].cumsum()[::-1].tolist()
-        # where the momentum term applies: every lane (True), no lane (None)
-        # or the lanes of a mask
+        # where the momentum term applies: every lane (True), no lane (None),
+        # or every lane but those of an index array, whose term is -0.0
         mom = 0 if self.beta is None else np.count_nonzero(self.beta)
-        self.mom = None if not mom else True if mom == len(self.beta) else self.beta != 0.0
+        self.mom = None if not mom else True if mom == len(self.beta) \
+            else np.flatnonzero(self.beta[:, 0] == 0.0)
 
     def take(self, keep: np.ndarray):
         """Keep only the lanes ``keep``, an index array, in that order."""
         for name in _PER_LANE:
             if (rows := getattr(self, name)) is not None:
                 setattr(self, name, rows[keep])
+        # the drawn block keeps its rows; map the lanes that stay onto them
+        self.row = keep if self.row is None else self.row[keep]
         self._derive()
 
     def draw(self):
@@ -193,14 +214,33 @@ class _Lanes:
         if not self.samplers:
             return self.rngs
         if self.drawn is None or self.i == self.drawn.shape[1]:
-            iters = max(1, self.size // int(self.per.sum()))
-            u = np.zeros((len(self.rngs), iters, self.per[0]))
-            for lane, (rng, c) in enumerate(zip(self.rngs, self.per)):
-                u[lane, :, :c] = rng.uniform(iters * c).reshape(iters, c)
-            self.drawn, self.i = self.samplers[0].lookup(u) if len(self.samplers) == 1 \
-                else np.stack([s.lookup(u[..., p]) for p, s in enumerate(self.samplers)], -1), 0
+            self._refill()
         self.i += 1
-        return self.drawn[:, self.i - 1]
+        return self.drawn[:, self.i - 1] if self.row is None \
+            else self.drawn[self.row, self.i - 1]
+
+    def _refill(self):
+        # lane t fills its own stretch of u, iters * per[t] draws, iteration
+        # by iteration; only real draws are looked up, those of a sampler
+        # every len(samplers)-th (rek: a column, then a row)
+        per, k = self.per.tolist(), len(self.samplers)
+        iters = max(1, self.size // sum(per))
+        u, start = np.empty(iters * sum(per)), 0
+        for rng, c in zip(self.rngs, per):
+            rng.uniform(out=u[start:start + iters * c])
+            start += iters * c
+        drawn = self.samplers[0].lookup(u) if k == 1 \
+            else np.stack([s.lookup(u[p::k]) for p, s in enumerate(self.samplers)], -1)
+        width = per[0]  # the most draws of any lane, as lanes are sorted by r
+        if per[-1] == width:
+            drawn = drawn.reshape(len(per), iters, width)
+        else:
+            # draw j of iteration s of lane t; a lane with fewer than width
+            # draws repeats its last in the places the update never reads
+            c = self.per[:, None, None]
+            drawn = drawn[iters * (c.cumsum(0) - c) + c * np.arange(iters)[:, None]
+                          + np.minimum(np.arange(width), c - 1)]
+        self.drawn, self.i, self.row = drawn, 0, None
 
 
 # Updates: one iteration of every lane, given the indices it drew.  Dots are
@@ -214,8 +254,7 @@ def _dr_update(lanes: _Lanes, problem: Problem, rows):
     or indices of the leading lanes), then average with weight alpha and add
     beta times the last move."""
     A, b, rn = problem.A.entries, problem.b, problem.A.row_norms_sq
-    x = lanes.x
-    z = x.copy()
+    x = z = lanes.x
     for j in rows:
         zj = z if isinstance(j, int) else z[:len(j)]
         a = A.take(j, 0)
@@ -223,15 +262,22 @@ def _dr_update(lanes: _Lanes, problem: Problem, rows):
         f = ((c + c) / rn[j])[:, None]  # c + c is 2.0 * c, bit for bit
         # the gathered rows of an index array are scaled in place; one row
         # of all lanes is scaled into a new block
-        zj -= np.multiply(a, f, out=a if a.ndim == 2 else None)
+        step = np.multiply(a, f, out=a if a.ndim == 2 else None)
+        if z is x:  # the first reflection covers every lane
+            z = x - step
+        else:
+            zj -= step
     out = x * lanes.stay
     out += z * lanes.alpha
     if (m := lanes.mom) is not None:
-        # masked, not gathered: adding 0 * (x - x_prev) on a lane with
-        # beta = 0 would turn -0.0 into +0.0 and inf into nan
-        move = np.subtract(x, lanes.x_prev, out=np.empty_like(x), where=m)
-        np.multiply(move, lanes.beta, out=move, where=m)
-        np.add(out, move, out=out, where=m)
+        move = x - lanes.x_prev
+        move *= lanes.beta
+        if m is not True:
+            # a lane with beta = 0 adds -0.0, which leaves every value as it
+            # is; adding its 0 * (x - x_prev) would turn -0.0 into +0.0 and
+            # inf into nan
+            move[m] = -0.0
+        out += move
         lanes.x_prev = x
     lanes.x, lanes.z_last = out, z
     lanes.k += 1
@@ -474,8 +520,8 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
             sq = np.vecdot(d, d)
             # division by den keeps order, so unless these fail, no lane
             # can end or need a record
-            if k < next_due and sq.max() / den <= DIVERGENCE_RSE \
-                    and sq.min() / den >= tol_max:
+            if k < next_due and np.maximum.reduce(sq) / den <= DIVERGENCE_RSE \
+                    and np.minimum.reduce(sq) / den >= tol_max:
                 continue
             rse = sq / den
             for i in np.flatnonzero(~(rse <= DIVERGENCE_RSE) | (rse < tol) | (due <= k)):

@@ -31,6 +31,10 @@ from rdr_lab.solvers import (
     run,
 )
 
+# a numpy warning, such as inf - inf in a lane's momentum term, is an error;
+# tests that drive a lane to overflow on purpose ignore that one by name
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _identity_problem(n=2, seed=0):
     x_star = Rng(seed).normal(n)
@@ -78,6 +82,28 @@ def test_config_holds_only_what_its_method_reads():
     # validation comes first: a bad value is rejected even where unread
     with pytest.raises(ValueError, match="alpha"):
         SolverConfig(method="rk", alpha=1.0)
+
+
+def test_config_r_and_seed_are_whole_numbers():
+    # r and seed are kept as ints: r=2.0 runs, labels and hashes as r=2
+    stop = StopRule(rse_tol=None, max_iterations=20)
+    cfg = SolverConfig(method="mrrdr", r=2.0, seed=7.0, stop=stop)
+    want = SolverConfig(method="mrrdr", r=2, seed=7, stop=stop)
+    assert cfg == want and hash(cfg) == hash(want)
+    assert type(cfg.r) is int and type(cfg.seed) is int
+    assert cfg.label() == "mrrdr[r=2,a=0.5,b=0]"
+    problem = synthetic_problem(12, 5, seed=3)
+    _assert_same_trial(run(problem, cfg)[0], run(problem, want)[0])
+    for r in (2.5, math.inf, math.nan, "2"):
+        with pytest.raises(ValueError, match="r must be a positive integer"):
+            SolverConfig(method="rrdr", r=r)
+    # a seed that is not a whole number, or lies outside [0, 2**64), would
+    # run another trajectory or fail only inside run
+    for seed in (1.5, -1, 2 ** 64, math.inf, "3"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            SolverConfig(method="rk", seed=seed)
+    (res,) = run(problem, SolverConfig(method="rk", seed=2 ** 64 - 1, stop=stop))
+    assert res.iterations == 20
 
 
 def test_stop_rule_needs_a_bound():
@@ -223,9 +249,26 @@ def test_grouped_trials_match_lone_runs(method):
     assert runs.row_actions == sum(res.row_actions for res in runs)
 
 
+@pytest.mark.parametrize("method", ("rrdr", "mrrdr", "rk", "rek", "rgs"))
+def test_draw_block_size_never_touches_bits(method, monkeypatch):
+    # how many iterations a refill covers must not show in any trial: small
+    # blocks refill after lane exits (the row map of the lanes that stay),
+    # mixed r gathers each lane's draws from the flat block, and rek looks
+    # up two samplers
+    from rdr_lab import solvers
+
+    problem = synthetic_problem(20, 8, seed=1)
+    configs = _mixed_group(method)
+    want = run(problem, *configs)
+    for size in (1, 5, 64):
+        monkeypatch.setattr(solvers, "DRAW_BLOCK", size)
+        for got, res in zip(run(problem, *configs), want):
+            _assert_same_trial(got, res)
+
+
 def test_mixed_momentum_block_keeps_signed_zero():
-    # a lane with beta = 0 in a block with momentum lanes gets no momentum
-    # term at all: adding 0 * (x - x_prev) would turn its -0.0 into +0.0.
+    # a lane with beta = 0 in a block with momentum lanes keeps its bytes:
+    # adding its 0 * (x - x_prev) would turn its -0.0 into +0.0.
     # Column 1 is zero and x0[1] = -0.0; x[0] stays above the solution, so
     # every reflection subtracts +0.0 there and a lone beta = 0 run keeps -0.0
     A = Matrix([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
