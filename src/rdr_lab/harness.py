@@ -22,7 +22,7 @@ import numpy as np
 from . import problems as problems_mod
 from .linalg import spectral_scalars, svd_small
 from .problems import GraphSpec, Problem
-from .sampling import MASK64, Rng
+from .sampling import MASK64, Rng, _whole
 from .solvers import METHODS, RunResult, SolverConfig, StopRule, run
 from .theory import rate_report
 
@@ -55,8 +55,7 @@ class ProblemSpec:
     radius: float | None = None
 
     def validate(self):
-        if self.source not in ("synthetic", "conditioned", "mtx", "ac",
-                               "three-lines", "adversarial"):
+        if self.source not in _SOURCES:
             raise ConfigError(f"unknown problem source: {self.source}")
         if self.source in ("synthetic", "conditioned", "adversarial"):
             if self.m < 1 or self.n < 1:
@@ -89,7 +88,7 @@ class ExperimentSpec:
             raise ConfigError("no solver configs requested")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not (0 <= self.seed <= MASK64):
+        if _whole(self.seed) is None or not 0 <= self.seed <= MASK64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
@@ -209,25 +208,23 @@ def parse_config_file(path) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
+# problem source -> build from (spec, seed)
+_SOURCES = {
+    "synthetic": lambda p, seed: problems_mod.synthetic_problem(p.m, p.n, seed),
+    "conditioned": lambda p, seed: problems_mod.conditioned_problem(
+        p.m, p.n, p.ratio, seed),
+    "mtx": lambda p, seed: problems_mod.mtx_problem(p.path, seed),
+    "ac": lambda p, seed: problems_mod.gen_ac_problem(
+        GraphSpec(p.topology, p.nodes, p.radius, seed), Rng(seed).uniform(p.nodes)),
+    "three-lines": lambda p, seed: problems_mod.three_lines_failure_problem(),
+    "adversarial": lambda p, seed: problems_mod.gen_direction_adversarial(seed, n=p.n),
+}
+
+
 def build_problem(pspec: ProblemSpec, seed: int) -> Problem:
     """Materialize the problem described by a spec under a given seed."""
     pspec.validate()
-    if pspec.source == "synthetic":
-        return problems_mod.synthetic_problem(pspec.m, pspec.n, seed)
-    if pspec.source == "conditioned":
-        return problems_mod.conditioned_problem(pspec.m, pspec.n, pspec.ratio, seed)
-    if pspec.source == "mtx":
-        return problems_mod.mtx_problem(pspec.path, seed)
-    if pspec.source == "ac":
-        c = Rng(seed).uniform(pspec.nodes)
-        gspec = GraphSpec(topology=pspec.topology, n=pspec.nodes,
-                          radius=pspec.radius, seed=seed)
-        return problems_mod.gen_ac_problem(gspec, c)
-    if pspec.source == "three-lines":
-        return problems_mod.three_lines_failure_problem()
-    if pspec.source == "adversarial":
-        return problems_mod.gen_direction_adversarial(seed, n=pspec.n)
-    raise ConfigError(f"unknown problem source: {pspec.source}")
+    return _SOURCES[pspec.source](pspec, seed)
 
 
 def compute_direction_metrics(x, problem: Problem, v_min):
@@ -395,8 +392,8 @@ def figure_presets(scale: float = 1.0, seed: int = 12345) -> dict:
     ``scale`` multiplies problem dimensions; budgets stay fixed.  Returns a
     dict keyed by preset name.
     """
-    if scale <= 0.0:
-        raise ConfigError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ConfigError("scale must be positive and finite")
     presets = {}
 
     stop12 = lambda budget: StopRule(rse_tol=1e-12, max_row_actions=budget)

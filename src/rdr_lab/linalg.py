@@ -84,15 +84,9 @@ class SpectralScalars:
     rank: int
 
 
-def _as_array(A) -> np.ndarray:
-    if isinstance(A, Matrix):
-        return A.entries
-    arr = np.asarray(A, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError("invalid matrix: expected a nonempty 2-d array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("invalid matrix: non-finite entries")
-    return arr
+def as_matrix(A) -> Matrix:
+    """``A`` itself if it is a :class:`Matrix`, else ``Matrix(A)``."""
+    return A if isinstance(A, Matrix) else Matrix(A)
 
 
 def project_row(x, a, b, norm_sq=None):
@@ -139,37 +133,28 @@ def svd_small(A) -> SvdResult:
         Thin U, full V and descending singular values; ``rank`` counts the
         singular values above ``rank_threshold``.
     """
-    if isinstance(A, Matrix) and A._svd is not None:
-        return A._svd
-    arr = _as_array(A)
-    m, n = arr.shape
-    u, sig, vt = np.linalg.svd(arr, full_matrices=m < n)
-    for f in (u, sig, vt):
-        f.flags.writeable = False
-    sigma_max = float(sig[0]) if sig.size else 0.0
-    rank = int(np.sum(sig > rank_threshold(sigma_max, m, n)))
-    res = SvdResult(U=u, singular_values=sig, V=vt.T, rank=rank)
-    if isinstance(A, Matrix):
-        A._svd = res
-    return res
+    mat = as_matrix(A)
+    if mat._svd is None:
+        u, sig, vt = np.linalg.svd(mat.entries, full_matrices=mat.m < mat.n)
+        for f in (u, sig, vt):
+            f.flags.writeable = False
+        rank = int(np.sum(sig > rank_threshold(float(sig[0]), mat.m, mat.n)))
+        mat._svd = SvdResult(U=u, singular_values=sig, V=vt.T, rank=rank)
+    return mat._svd
 
 
 def spectral_scalars(A) -> SpectralScalars:
     """Extract (sigma_min, sigma_max, frob_sq, rank) via ``svd_small``."""
-    if isinstance(A, Matrix):
-        frob_sq = A.frob_sq
-    else:
-        arr = _as_array(A)
-        frob_sq = float(np.einsum("ij,ij->", arr, arr))
-    if frob_sq == 0.0:
+    mat = as_matrix(A)
+    if mat.frob_sq == 0.0:
         raise ValueError("zero matrix")
-    res = svd_small(A)
+    res = svd_small(mat)
     if res.rank == 0:
         raise ValueError("zero matrix")
     return SpectralScalars(
         sigma_min=float(res.singular_values[res.rank - 1]),
         sigma_max=float(res.singular_values[0]),
-        frob_sq=frob_sq,
+        frob_sq=mat.frob_sq,
         rank=res.rank,
     )
 
@@ -181,13 +166,12 @@ def projected_solution(A, b, x0) -> np.ndarray:
     row-action solvers converge to from ``x0``.  Raises if the least-squares
     residual shows the system is inconsistent.
     """
-    arr = _as_array(A)
+    mat = as_matrix(A)
     b = np.asarray(b, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
-    m, n = arr.shape
-    if b.shape != (m,) or x0.shape != (n,):
+    if b.shape != (mat.m,) or x0.shape != (mat.n,):
         raise ValueError("invalid matrix: shape mismatch")
-    res = svd_small(A)
+    res = svd_small(mat)
     r = res.rank
     if r == 0:
         if np.any(b != 0.0):
@@ -197,7 +181,7 @@ def projected_solution(A, b, x0) -> np.ndarray:
     coeffs = (res.U[:, :r].T @ b) / res.singular_values[:r]
     x_ls = vr @ coeffs
     bnorm = float(np.sqrt(b @ b))
-    resid = arr @ x_ls - b
+    resid = mat.entries @ x_ls - b
     if float(np.sqrt(resid @ resid)) > 1e-8 * bnorm:
         raise ValueError("inconsistent system")
     return x_ls + x0 - vr @ (vr.T @ x0)

@@ -126,24 +126,25 @@ def gen_conditioned(m: int, n: int, target_ratio: float, seed: int) -> Matrix:
     return Matrix(arr)
 
 
+def _planted(A: Matrix, seed: int, label: str) -> Problem:
+    """System on ``A`` with the planted solution of ``seed``, started at zero."""
+    x_star, b = gen_solution(A, seed)
+    x0 = np.zeros(A.n)
+    return Problem(A=A, b=b, x_star=x_star, x0=x0,
+                   x0_star=projected_solution(A, b, x0), label=label)
+
+
 def synthetic_problem(m: int, n: int, seed: int, label: str = "gaussian") -> Problem:
     """Gaussian system with planted row-space solution, started at zero."""
-    A = gen_gaussian(m, n, seed)
-    x_star, b = gen_solution(A, Rng(seed).child(1).seed)
-    x0 = np.zeros(n)
-    x0_star = projected_solution(A, b, x0)
-    return Problem(A=A, b=b, x_star=x_star, x0=x0, x0_star=x0_star,
-                   label=f"{label}-{m}x{n}")
+    return _planted(gen_gaussian(m, n, seed), Rng(seed).child(1).seed,
+                    f"{label}-{m}x{n}")
 
 
 def conditioned_problem(m: int, n: int, target_ratio: float, seed: int) -> Problem:
     """Spectrum-shaped Gaussian system, started at zero."""
-    A = gen_conditioned(m, n, target_ratio, seed)
-    x_star, b = gen_solution(A, Rng(seed).child(1).seed)
-    x0 = np.zeros(n)
-    x0_star = projected_solution(A, b, x0)
-    return Problem(A=A, b=b, x_star=x_star, x0=x0, x0_star=x0_star,
-                   label=f"conditioned-{m}x{n}-r{target_ratio:g}")
+    return _planted(gen_conditioned(m, n, target_ratio, seed),
+                    Rng(seed).child(1).seed,
+                    f"conditioned-{m}x{n}-r{target_ratio:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +185,24 @@ def read_matrix_market(path) -> np.ndarray:
         raise ValueError("line %d: missing size line" % (len(lines) + 1))
 
     ln, size_line = body[0]
-    parts = size_line.split()
     try:
-        dims = [int(p) for p in parts]
+        dims = [int(p) for p in size_line.split()]
     except ValueError:
         raise ValueError(f"line {ln}: bad size line") from None
+    names = "m n nnz" if fmt == "coordinate" else "m n"
+    if len(dims) != len(names.split()):
+        raise ValueError(f"line {ln}: {fmt} size line needs {names}")
+    m, n, nnz = (dims + [0])[:3]  # an array file has no nnz
+    if m < 1 or n < 1 or nnz < 0:
+        raise ValueError(f"line {ln}: bad dimensions")
+    if sym == "symmetric" and m != n:
+        raise ValueError(f"line {ln}: symmetric matrix must be square")
+    entries = body[1:]
 
     if fmt == "coordinate":
-        if len(dims) != 3:
-            raise ValueError(f"line {ln}: coordinate size line needs m n nnz")
-        m, n, nnz = dims
-        if m < 1 or n < 1 or nnz < 0:
-            raise ValueError(f"line {ln}: bad dimensions")
-        if sym == "symmetric" and m != n:
-            raise ValueError(f"line {ln}: symmetric matrix must be square")
-        arr = np.zeros((m, n))
-        entries = body[1:]
         if len(entries) != nnz:
             raise ValueError(f"line {ln}: expected {nnz} entries, found {len(entries)}")
+        arr = np.zeros((m, n))
         seen = set()
         for eln, text in entries:
             p = text.split()
@@ -225,42 +226,21 @@ def read_matrix_market(path) -> np.ndarray:
                 arr[j - 1, i - 1] = val
         return arr
 
-    # array format: column-major dense values
-    if len(dims) != 2:
-        raise ValueError(f"line {ln}: array size line needs m n")
-    m, n = dims
-    if m < 1 or n < 1:
-        raise ValueError(f"line {ln}: bad dimensions")
-    if sym == "symmetric":
-        if m != n:
-            raise ValueError(f"line {ln}: symmetric matrix must be square")
-        expected = m * (m + 1) // 2
-    else:
-        expected = m * n
-    values = body[1:]
-    if len(values) != expected:
-        raise ValueError(f"line {ln}: expected {expected} values, found {len(values)}")
+    # array format: column-major values, the lower triangle if symmetric,
+    # counted before any cell is made so a huge declared size fails at once
+    expected = n * (n + 1) // 2 if sym == "symmetric" else m * n
+    if len(entries) != expected:
+        raise ValueError(f"line {ln}: expected {expected} values, found {len(entries)}")
     arr = np.zeros((m, n))
-    it = iter(values)
+    cells = ((i, j) for j in range(n) for i in range(j if sym == "symmetric" else 0, m))
+    for (i, j), (eln, text) in zip(cells, entries):
+        try:
+            arr[i, j] = float(text)
+        except ValueError:
+            raise ValueError(f"line {eln}: bad value") from None
     if sym == "symmetric":
-        for j in range(n):
-            for i in range(j, m):
-                eln, text = next(it)
-                try:
-                    val = float(text)
-                except ValueError:
-                    raise ValueError(f"line {eln}: bad value") from None
-                arr[i, j] = val
-                arr[j, i] = val
-    else:
-        for j in range(n):
-            for i in range(m):
-                eln, text = next(it)
-                try:
-                    val = float(text)
-                except ValueError:
-                    raise ValueError(f"line {eln}: bad value") from None
-                arr[i, j] = val
+        upper = np.triu_indices(n, 1)
+        arr[upper] = arr.T[upper]
     if not np.all(np.isfinite(arr)):
         raise ValueError("invalid matrix: non-finite entries")
     return arr
@@ -308,11 +288,7 @@ def load_matrix_market(path) -> Matrix:
 def mtx_problem(path, seed: int) -> Problem:
     """System on a Matrix Market matrix with planted solution, start zero."""
     A = load_matrix_market(path)
-    x_star, b = gen_solution(A, seed)
-    x0 = np.zeros(A.n)
-    x0_star = projected_solution(A, b, x0)
-    return Problem(A=A, b=b, x_star=x_star, x0=x0, x0_star=x0_star,
-                   label=f"mtx-{A.m}x{A.n}")
+    return _planted(A, seed, f"mtx-{A.m}x{A.n}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,15 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def _whole(value) -> int | None:
+    """``value`` as an int if it is a whole number, else None."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
 def _splitmix64(z: int) -> int:
     z = (z + _SPLIT_GAMMA) & MASK64
     z ^= z >> 30
@@ -44,8 +53,8 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed <= MASK64:
+        seed = _whole(seed)
+        if seed is None or not 0 <= seed <= MASK64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))

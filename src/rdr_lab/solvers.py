@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import svd_small
 from .problems import Problem
-from .sampling import MASK64, Rng
+from .sampling import MASK64, Rng, _whole
 
 # the SolverConfig fields each method reads, in label order
 PARAMS = {"rrdr": ("r", "alpha"), "mrrdr": ("r", "alpha", "beta"), "rk": (),
@@ -46,15 +46,10 @@ class StopRule:
             raise ValueError("invalid parameter: no finite stopping bound")
         if self.rse_tol is not None and not (0.0 < self.rse_tol):
             raise ValueError("invalid parameter: rse_tol must be positive")
-
-
-def _whole(value) -> int | None:
-    """``value`` as an int if it is a whole number, else None."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return whole if whole == value else None
+        for name in ("max_row_actions", "max_iterations"):
+            value = getattr(self, name)
+            if value is not None and (_whole(value) is None or value < 1):
+                raise ValueError(f"invalid parameter: {name} must be a whole number >= 1")
 
 
 @dataclass(frozen=True)
@@ -89,10 +84,10 @@ class SolverConfig:
             raise ValueError("invalid parameter: alpha must lie in (0, 1)")
         if not (0.0 <= self.beta < 1.0):
             raise ValueError("invalid parameter: beta must lie in [0, 1)")
-        if self.penalty <= 0.0:
-            raise ValueError("invalid parameter: penalty must be positive")
-        if self.trace_every < 0:
-            raise ValueError("invalid parameter: trace_every must be >= 0")
+        if not 0.0 < self.penalty < math.inf:
+            raise ValueError("invalid parameter: penalty must be finite and positive")
+        if _whole(self.trace_every) is None or self.trace_every < 0:
+            raise ValueError("invalid parameter: trace_every must be a whole number >= 0")
         for f in fields(self):
             if f.name in _TAGS and f.name not in PARAMS[self.method]:
                 object.__setattr__(self, f.name, f.default)

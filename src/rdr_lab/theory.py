@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Matrix, SpectralScalars, projected_solution, reflect_row,
-                     svd_small)
+from .linalg import (SpectralScalars, as_matrix, projected_solution,
+                     reflect_row, svd_small)
+from .sampling import _whole
 
 ENUM_BUDGET = 10 ** 6
 
@@ -25,7 +26,7 @@ def _check_alpha(alpha):
 
 
 def _check_r(r):
-    if int(r) != r or r < 1:
+    if _whole(r) is None or r < 1:
         raise ValueError("invalid parameter: r must be a positive integer")
 
 
@@ -152,15 +153,10 @@ def characteristic_roots(sigmas, frob_sq: float, alpha: float, beta: float, r: i
     _check_r(r)
     sig = np.asarray(sigmas, dtype=np.float64)
     d = (1.0 - alpha + beta) + alpha * (1.0 - 2.0 * sig * sig / frob_sq) ** r
-    disc = d * d - 4.0 * beta
-    roots = np.empty((sig.size, 2), dtype=np.complex128)
-    sq = np.sqrt(np.abs(disc))
-    pos = disc >= 0.0
-    roots[pos, 0] = (d[pos] + sq[pos]) / 2.0
-    roots[pos, 1] = (d[pos] - sq[pos]) / 2.0
-    roots[~pos, 0] = (d[~pos] + 1j * sq[~pos]) / 2.0
-    roots[~pos, 1] = (d[~pos] - 1j * sq[~pos]) / 2.0
-    return roots
+    # the complex square root of a real discriminant (imaginary part +0) is
+    # exactly (sqrt(disc), 0) or (0, sqrt(-disc)), the roots of a sign test
+    sq = np.sqrt((d * d - 4.0 * beta).astype(np.complex128))
+    return np.stack([(d + sq) / 2.0, (d - sq) / 2.0], axis=-1)
 
 
 class MeanMap:
@@ -204,20 +200,23 @@ class MeanMap:
         return s @ self.V.T
 
 
+def _reflection_spectrum(mat, r: int):
+    """``V`` and the eigenvalues of ``(I - 2 A^T A / frob_sq)**r`` in that
+    basis; 1 on the null directions past the singular values."""
+    res = svd_small(mat)
+    sig_sq = np.zeros(mat.n)
+    sig_sq[:res.singular_values.size] = res.singular_values ** 2
+    return res.V, (1.0 - 2.0 * sig_sq / mat.frob_sq) ** r
+
+
 def mean_map(A, alpha: float, beta: float, r: int) -> MeanMap:
     """Build the expected-iterate map descriptor for a matrix."""
     _check_alpha(alpha)
     _check_r(r)
     if beta < 0.0:
         raise ValueError("invalid parameter: beta must be >= 0")
-    mat = A if isinstance(A, Matrix) else Matrix(A)
-    res = svd_small(mat)
-    n = mat.n
-    sig_sq = np.zeros(n)
-    k = res.singular_values.size
-    sig_sq[:k] = res.singular_values ** 2
-    decay = (1.0 - alpha + beta) + alpha * (1.0 - 2.0 * sig_sq / mat.frob_sq) ** r
-    return MeanMap(V=res.V, decay=decay, beta=beta)
+    V, eig = _reflection_spectrum(as_matrix(A), r)
+    return MeanMap(V=V, decay=(1.0 - alpha + beta) + alpha * eig, beta=beta)
 
 
 def enumerate_one_step(A, b, x, x_prev, alpha: float, beta: float, r: int):
@@ -229,7 +228,7 @@ def enumerate_one_step(A, b, x, x_prev, alpha: float, beta: float, r: int):
     """
     _check_alpha(alpha)
     _check_r(r)
-    mat = A if isinstance(A, Matrix) else Matrix(A)
+    mat = as_matrix(A)
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     x_prev = np.asarray(x_prev, dtype=np.float64)
@@ -265,7 +264,7 @@ def angle_expectation_half(A, x, x_star, r: int) -> float:
     alpha = 1/2: ``1/2 + 1/2 * u^T (I - 2 A^T A / frob_sq)**r u`` for the
     unit error ``u``."""
     _check_r(r)
-    mat = A if isinstance(A, Matrix) else Matrix(A)
+    mat = as_matrix(A)
     x = np.asarray(x, dtype=np.float64)
     x_star = np.asarray(x_star, dtype=np.float64)
     err = x - x_star
@@ -273,12 +272,8 @@ def angle_expectation_half(A, x, x_star, r: int) -> float:
     if nrm_sq == 0.0:
         raise ValueError("undefined direction: x equals x_star")
     u = err / math.sqrt(nrm_sq)
-    res = svd_small(mat)
-    sig_sq = np.zeros(mat.n)
-    k = res.singular_values.size
-    sig_sq[:k] = res.singular_values ** 2
-    coords = res.V.T @ u
-    eig = (1.0 - 2.0 * sig_sq / mat.frob_sq) ** r
+    V, eig = _reflection_spectrum(mat, r)
+    coords = V.T @ u
     return 0.5 + 0.5 * float(coords @ (eig * coords))
 
 

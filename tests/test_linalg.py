@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rdr_lab.linalg import (
     Matrix,
+    as_matrix,
     project_row,
     projected_solution,
     rank_threshold,
@@ -243,6 +244,28 @@ def test_spectral_scalars_rank_one():
 def test_spectral_scalars_zero_matrix():
     with pytest.raises(ValueError, match="zero matrix"):
         spectral_scalars(np.zeros((3, 2)))
+
+
+def test_spectral_scalars_same_for_array_and_matrix():
+    # an array is read as a Matrix, so frob_sq is the sum of the row norms
+    # either way, to the last bit
+    rng = _rng(11)
+    for _ in range(40):
+        arr = rng.standard_normal(tuple(rng.integers(1, 30, size=2)))
+        mat = Matrix(arr)
+        assert spectral_scalars(arr) == spectral_scalars(mat)
+        assert spectral_scalars(arr).frob_sq == mat.frob_sq
+
+
+def test_as_matrix_keeps_a_matrix_and_checks_an_array():
+    mat = Matrix(np.eye(2))
+    assert as_matrix(mat) is mat
+    assert as_matrix([[1.0, 2.0]]).shape == (1, 2)
+    for bad, msg in ((np.zeros(3), "expected a nonempty 2-d array"),
+                     ([[np.nan]], "non-finite entries")):
+        for fn in (as_matrix, svd_small, spectral_scalars):
+            with pytest.raises(ValueError, match="invalid matrix: " + msg):
+                fn(bad)
 
 
 # ---------------------------------------------------------------------------

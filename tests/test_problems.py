@@ -196,6 +196,41 @@ def test_mtx_array_format(tmp_path):
                                   [[1.0, 3.0], [2.0, 4.0]])
 
 
+def test_mtx_array_symmetric_mirrors_lower_triangle(tmp_path):
+    path = tmp_path / "s.mtx"
+    # the lower triangle, column by column: (1,1) (2,1) (3,1) (2,2) (3,2) (3,3)
+    head = "%%MatrixMarket matrix array real symmetric\n3 3\n"
+    path.write_text(head + "1.0\n2.0\n3.0\n4.0\n5.0\n-0.0\n")
+    arr = read_matrix_market(path)
+    np.testing.assert_array_equal(arr, [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0],
+                                        [3.0, 5.0, 0.0]])
+    assert np.signbit(arr[2, 2])
+    path.write_text(head + "1.0\n2.0\n3.0\n4.0\n5.0\n")
+    with pytest.raises(ValueError, match="line 2: expected 6 values, found 5"):
+        read_matrix_market(path)
+    path.write_text(head + "1.0\n2.0\n3.0\n4.0\n5.0\n6.0\n7.0\n8.0\n9.0\n")
+    with pytest.raises(ValueError, match="line 2: expected 6 values, found 9"):
+        read_matrix_market(path)
+    path.write_text(head + "1.0\n2.0\n3.0\nfive\n5.0\n6.0\n")
+    with pytest.raises(ValueError, match="line 6: bad value"):
+        read_matrix_market(path)
+    path.write_text("%%MatrixMarket matrix array real symmetric\n2 3\n" + "1\n" * 5)
+    with pytest.raises(ValueError, match="line 2: symmetric matrix must be square"):
+        read_matrix_market(path)
+
+
+def test_mtx_size_line_checks(tmp_path):
+    path = tmp_path / "z.mtx"
+    for fmt, size, msg in (("array", "2 2 4", "array size line needs m n"),
+                           ("coordinate", "2 2", "coordinate size line needs m n nnz"),
+                           ("array", "0 2", "bad dimensions"),
+                           ("coordinate", "2 2 -1", "bad dimensions"),
+                           ("array", "2 x", "bad size line")):
+        path.write_text(f"%%MatrixMarket matrix {fmt} real general\n{size}\n")
+        with pytest.raises(ValueError, match="line 2: " + msg):
+            read_matrix_market(path)
+
+
 def test_mtx_rejects_unsupported(tmp_path):
     path = tmp_path / "c.mtx"
     path.write_text("%%MatrixMarket matrix coordinate complex general\n"

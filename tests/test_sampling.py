@@ -100,6 +100,11 @@ def test_rng_rejects_bad_seed():
         Rng(-1)
     with pytest.raises(ValueError):
         Rng(1 << 64)
+    # a seed that is not a whole number once ran the stream of its int()
+    for seed in (1.5, float("inf"), float("nan"), "3"):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            Rng(seed)
+    assert Rng(7.0).seed == 7 and Rng(np.uint64(7)).seed == 7
 
 
 def test_rng_integer_bounds():

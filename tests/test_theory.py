@@ -1,6 +1,8 @@
 """Rate-formula tests: closed-form factors, momentum parameter regions, the
 expected-iterate map, and the exhaustive branch-enumeration oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,15 @@ def test_rate1_rejects_bad_alpha():
             rate_thm1(ID2, alpha, 1)
     with pytest.raises(ValueError, match="invalid parameter"):
         rate_thm1(ID2, 0.5, 0)
+
+
+def test_rate_formulas_reject_r_that_is_not_whole():
+    # inf once ended in an OverflowError and nan in numpy's conversion message
+    for r in (math.inf, math.nan, 1.5):
+        for call in (lambda: rate_thm1(ID2, 0.5, r), lambda: delta1(ID2, r),
+                     lambda: mean_map(np.eye(2), 0.5, 0.0, r)):
+            with pytest.raises(ValueError, match="r must be a positive integer"):
+                call()
 
 
 def test_delta_identity_values():
@@ -206,6 +217,29 @@ def test_characteristic_roots_vieta():
     # product of each root pair is the constant term beta
     prod = roots[:, 0] * roots[:, 1]
     assert np.abs(prod - beta).max() <= 1e-12
+
+
+def test_characteristic_roots_match_the_two_branch_formula():
+    # the complex square root of the discriminant gives, bit for bit, the
+    # roots of a sign test on it; (sigma, frob_sq) = (1, 2) at alpha = beta
+    # = 0.25 makes the discriminant exactly zero
+    sig = np.array([0.0, 0.3, 0.7, 1.0, 1.2, 1.4])
+    signs = set()
+    for frob_sq, alpha, beta, r in ((2.0, 0.25, 0.25, 1), (2.0, 0.5, 0.8, 3),
+                                    (3.0, 0.7, 0.05, 2), (4.5, 0.9, 0.6, 5)):
+        d = (1.0 - alpha + beta) + alpha * (1.0 - 2.0 * sig * sig / frob_sq) ** r
+        disc = d * d - 4.0 * beta
+        want = np.empty((sig.size, 2), dtype=np.complex128)
+        sq = np.sqrt(np.abs(disc))
+        pos = disc >= 0.0
+        want[pos, 0] = (d[pos] + sq[pos]) / 2.0
+        want[pos, 1] = (d[pos] - sq[pos]) / 2.0
+        want[~pos, 0] = (d[~pos] + 1j * sq[~pos]) / 2.0
+        want[~pos, 1] = (d[~pos] - 1j * sq[~pos]) / 2.0
+        got = characteristic_roots(sig, frob_sq, alpha, beta, r)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        signs.update(np.sign(disc))
+    assert signs == {-1.0, 0.0, 1.0}
 
 
 def test_characteristic_roots_modulus_in_accel_window():
