@@ -86,8 +86,10 @@ class ExperimentSpec:
         self.problem.validate()
         if not self.configs:
             raise ConfigError("no solver configs requested")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        trials = _whole(self.trials)
+        if trials is None or trials < 1:
+            raise ConfigError("trials must be a whole number >= 1")
+        self.trials = trials
         if _whole(self.seed) is None or not 0 <= self.seed <= MASK64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 

@@ -44,8 +44,9 @@ class StopRule:
         if self.rse_tol is None and self.max_row_actions is None \
                 and self.max_iterations is None:
             raise ValueError("invalid parameter: no finite stopping bound")
-        if self.rse_tol is not None and not (0.0 < self.rse_tol):
-            raise ValueError("invalid parameter: rse_tol must be positive")
+        if self.rse_tol is not None and not 0.0 < self.rse_tol < math.inf:
+            raise ValueError("invalid parameter: rse_tol must be " + (
+                "positive" if self.rse_tol <= 0.0 else "finite and positive"))
         for name in ("max_row_actions", "max_iterations"):
             value = getattr(self, name)
             if value is not None and (_whole(value) is None or value < 1):
@@ -388,58 +389,6 @@ rrdr_step = mrrdr_step = rk_step = rek_step = rgs_step = _step
 cyclic_dr_step = det_rsets_dr_step = rp_admm_step = _step
 
 
-class _Trial:
-    """One lane's stop bounds, trace cadence, records and status."""
-
-    def __init__(self, index, config, state, rse, problem, metrics_fn, at_solution):
-        self.index, self.config = index, config  # the config's place in the call
-        self.per, stop, self.records = _per_iteration(config, problem), config.stop, []
-        self.note = lambda state, rse: self.records.append(
-            _record(state, problem, metrics_fn, rse))
-        self.note(state, rse)
-        # rse is never negative, so a missing tolerance is a bound of 0
-        self.tol = stop.rse_tol or 0.0
-        self.max_k, self.max_actions = (math.inf if v is None else v for v in
-                                        (stop.max_iterations, stop.max_row_actions))
-        self.next_trace = config.trace_every or math.inf
-        self.status = "converged" if at_solution or rse < self.tol else None
-        self._due()
-
-    def _due(self):
-        # the first iteration at which a budget ends or a record falls due
-        actions = min(self.max_actions, self.next_trace)
-        self.due = min(self.max_k, actions if actions == math.inf
-                       else -(-actions // self.per))
-
-    def check(self, k: int, rse: float, x) -> bool:
-        # the stop tests, then the trace record, at iteration k; true at the end
-        actions = k * self.per
-        if not math.isfinite(rse):
-            self.status = "numerical-divergence"
-        elif rse > DIVERGENCE_RSE:
-            self.status = "diverged"
-        elif rse < self.tol:
-            self.status = "converged"
-        elif k >= self.max_k or actions >= self.max_actions:
-            self.status = "budget-exhausted"
-        elif actions >= self.next_trace:
-            self.note(SolverState(x=x, k=k, row_actions=actions), rse)
-            while self.next_trace <= actions:
-                self.next_trace += self.config.trace_every
-            self._due()
-        return self.status is not None
-
-    def result(self, lanes: _Lanes, i: int, rse: float) -> RunResult:
-        arrays = {name: getattr(lanes, name)[i].copy() for name in _LANE_ARRAYS
-                  if getattr(lanes, name) is not None and (name != "x_prev" or self.config.beta)}
-        state = SolverState(k=lanes.k, row_actions=lanes.k * self.per,
-                            cyclic_cursor=lanes.cyclic_cursor, **arrays)
-        if self.records[-1].k != state.k:
-            self.note(state, rse)
-        return RunResult(self.status, state.k, state.row_actions, rse, state.x,
-                         self.records, state)
-
-
 def init_state(problem: Problem, config: SolverConfig) -> SolverState:
     """Per-method state setup from the problem's start point."""
     x = problem.x0.astype(np.float64).copy()
@@ -455,13 +404,10 @@ def init_state(problem: Problem, config: SolverConfig) -> SolverState:
     return state
 
 
-def _record(state: SolverState, problem: Problem, metrics_fn, rse: float):
-    rec = TraceRecord(k=state.k, row_actions=state.row_actions, rse=rse)
-    resid = problem.A.entries @ state.x - problem.b
-    rec.residual_norm2 = float(np.sqrt(resid @ resid))
-    if metrics_fn is not None:
-        rec.dir_ratio, rec.vmin_overlap = metrics_fn(state.x)
-    return rec
+def _record(problem: Problem, metrics_fn, k: int, row_actions: int, x, rse: float):
+    resid = problem.A.entries @ x - problem.b
+    return TraceRecord(k, row_actions, rse, float(np.sqrt(resid @ resid)),
+                       *(() if metrics_fn is None else metrics_fn(x)))
 
 
 def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
@@ -475,6 +421,13 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     trace records.  Returns one RunResult per config, in argument order; the
     relative squared error (RSE) is measured against the projection of the
     start point onto the solution set.
+
+    Each trial is a lane of the block, and its stop bounds and trace cadence
+    are lane arrays beside the block's rows.  A lane is checked only at an
+    iteration where its RSE may cross a bound or a budget or trace record
+    falls due; it ends, in this order, on a non-finite RSE, on an RSE above
+    ``DIVERGENCE_RSE``, below ``rse_tol`` or on a spent budget, and otherwise
+    writes a trace record.
     """
     if not configs or any(c.method != configs[0].method for c in configs):
         raise ValueError("run takes one or more configs of one method")
@@ -491,25 +444,46 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     d = states[0].x - problem.x0_star
     den = float(d @ d)
     rse0 = float(d @ d) / den if den > 0.0 else 0.0
-    trials = np.fromiter((_Trial(i, c, s, rse0, problem, metrics_fn, den == 0.0)
-                          for i, c, s in zip(order, group, states)), object)
+    # each config's trace, by its place in the call
+    records = {p: [_record(problem, metrics_fn, 0, 0, s.x, rse0)] for p, s in zip(order, states)}
     lanes = _Lanes(problem, states, group, [Rng(c.seed) for c in group], DRAW_BLOCK)
+    # each lane's stop state: its config's place in the call; its RSE bound
+    # (RSE is never negative, so no tolerance is a bound of 0); the first
+    # iteration at which a budget is spent; and the row actions between its
+    # trace records and at its next one (inf: none)
+    budget = np.array([(c.stop.max_iterations or math.inf,
+                        c.stop.max_row_actions or math.inf) for c in group])
+    pos, tol = np.array(order), np.array([c.stop.rse_tol or 0.0 for c in group])
+    end = np.minimum(budget[:, 0], np.ceil(budget[:, 1] / lanes.per))
+    every = np.array([c.trace_every or math.inf for c in group])
+    trace = every.copy()
     update, results, rse = _UPDATES[method], [None] * len(configs), np.full(len(group), rse0)
-    tol, due = (np.array([getattr(t, name) for t in trials], dtype=float)
-                for name in ("tol", "due"))
-    ended = [i for i, t in enumerate(trials) if t.status is not None]
+    ended = dict.fromkeys(np.flatnonzero((rse0 < tol) | (den == 0.0)).tolist(), "converged")
     while True:
         # results of the lanes that ended, and a block of the others
-        for i in ended:
-            results[trials[i].index] = trials[i].result(lanes, i, float(rse[i]))
-        if len(ended) == len(trials):
+        for i, status in ended.items():
+            p, k, r = pos[i], lanes.k, float(rse[i])
+            arrays = {name: rows[i].copy() for name in _LANE_ARRAYS
+                      if (rows := getattr(lanes, name)) is not None
+                      and (name != "x_prev" or configs[p].beta)}
+            state = SolverState(k=k, row_actions=k * int(lanes.per[i]),
+                                cyclic_cursor=lanes.cyclic_cursor, **arrays)
+            if records[p][-1].k != k:
+                records[p].append(_record(problem, metrics_fn, k, state.row_actions,
+                                          state.x, r))
+            results[p] = RunResult(status, k, state.row_actions, r, state.x,
+                                   records[p], state)
+        if len(ended) == len(pos):
             return Runs(results)
         if ended:
-            keep = np.delete(np.arange(len(trials)), ended)
+            keep = np.delete(np.arange(len(pos)), list(ended))
             lanes.take(keep)
-            trials, tol, due = trials[keep], tol[keep], due[keep]
-        tol_max, next_due, ended = tol.max(), due.min(), []
-        while not ended:
+            pos, tol, end, every, trace = (a[keep] for a in (pos, tol, end, every, trace))
+        # the first iteration at which each lane's budget is spent or its
+        # next record falls due
+        due = np.minimum(end, np.ceil(trace / lanes.per))
+        tol_max, next_due, flagged, ended = tol.max(), due.min(), [], {}
+        while len(flagged) == 0:
             update(lanes, problem, lanes.draw())
             k, d = lanes.k, lanes.x - problem.x0_star
             sq = np.vecdot(d, d)
@@ -519,8 +493,19 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
                     and np.minimum.reduce(sq) / den >= tol_max:
                 continue
             rse = sq / den
-            for i in np.flatnonzero(~(rse <= DIVERGENCE_RSE) | (rse < tol) | (due <= k)):
-                if trials[i].check(k, float(rse[i]), lanes.x[i]):
-                    ended.append(i)
-                due[i] = trials[i].due
-            next_due = due.min()
+            flagged = np.flatnonzero(~(rse <= DIVERGENCE_RSE) | (rse < tol) | (due <= k))
+        for i in flagged:
+            r = float(rse[i])
+            if not math.isfinite(r):
+                ended[i] = "numerical-divergence"
+            elif r > DIVERGENCE_RSE:
+                ended[i] = "diverged"
+            elif r < tol[i]:
+                ended[i] = "converged"
+            elif k >= end[i]:
+                ended[i] = "budget-exhausted"
+            else:  # a trace record is due
+                actions = k * int(lanes.per[i])
+                records[pos[i]].append(_record(problem, metrics_fn, k, actions,
+                                               lanes.x[i], r))
+                trace[i] = (actions // every[i] + 1) * every[i]

@@ -64,7 +64,7 @@ def delta1(spec: SpectralScalars, r: int) -> float:
         return _q_min(spec)
     if spec.rank < 2:
         raise ValueError("even-r requires rank >= 2")
-    return max(abs(_q_min(spec)), abs(_q_max(spec)))
+    return delta2(spec)
 
 
 def delta2(spec: SpectralScalars) -> float:

@@ -455,6 +455,17 @@ def test_experiment_seed_is_a_whole_number():
     replace(spec, seed=3.0).validate()
 
 
+def test_experiment_trials_is_a_whole_number(tmp_path):
+    # trials of 1.5 or 2.0 once validated and then died in range() with a TypeError
+    spec = _tiny_spec(tmp_path)
+    for trials in (1.5, 0, -2, math.inf, math.nan, "2"):
+        with pytest.raises(ConfigError, match="trials must be a whole number >= 1"):
+            replace(spec, trials=trials).validate()
+    result = run_experiment(replace(spec, trials=2.0), out_dir=tmp_path)
+    assert len(result.runs) == 2
+    assert "trials = 2\n" in result.meta_path.read_text()
+
+
 def test_preset_unknown_name():
     with pytest.raises(ConfigError, match="unknown preset 'fig-nope'"):
         preset("fig-nope")

@@ -110,6 +110,13 @@ def test_stop_rule_needs_a_bound():
     StopRule(rse_tol=None, max_iterations=5)  # fine
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_stop_rule_rse_tol_is_finite_and_positive(tol):
+    # rse_tol = inf once ended every trial converged at k = 0 without a step
+    with pytest.raises(ValueError, match="rse_tol must be finite and positive"):
+        StopRule(rse_tol=tol)
+
+
 @pytest.mark.parametrize("name", ["max_iterations", "max_row_actions"])
 @pytest.mark.parametrize("value", [0, -3, 2.5, math.inf, math.nan, "5"])
 def test_stop_rule_budgets_are_whole_numbers_of_at_least_one(name, value):
@@ -575,6 +582,7 @@ def test_run_start_at_solution():
     assert res.status == "converged"
     assert res.iterations == 0
     assert res.rse == 0.0
+    assert [(r.k, r.row_actions) for r in res.records] == [(0, 0)]
 
 
 def test_run_identity_matches_hand_iteration():
@@ -610,6 +618,46 @@ def test_run_trace_cadence():
     assert [r.row_actions for r in res.records] == [0, 3, 6, 9, 10]
     ks = [r.k for r in res.records]
     assert ks == sorted(ks)
+
+
+def test_run_budget_and_trace_with_several_row_actions_an_iteration():
+    # three row actions an iteration: the budget of 10 is spent at k = 4
+    # (12 row actions), and a record falls due at the first iteration whose
+    # row actions reach the next multiple of trace_every
+    problem = synthetic_problem(12, 5, seed=81)
+    stop = StopRule(rse_tol=None, max_row_actions=10)
+    cfg = SolverConfig(method="rrdr", r=3, seed=4, trace_every=4, stop=stop)
+    (res,) = run(problem, cfg)
+    assert (res.status, res.iterations, res.row_actions) == ("budget-exhausted", 4, 12)
+    assert [(r.k, r.row_actions) for r in res.records] == [(0, 0), (2, 6), (3, 9), (4, 12)]
+    # an iteration budget spent first ends the run at the record it also owes,
+    # which is written once
+    cfg = SolverConfig(method="rrdr", r=3, seed=4, trace_every=4,
+                       stop=StopRule(rse_tol=None, max_row_actions=10, max_iterations=3))
+    (res,) = run(problem, cfg)
+    assert (res.status, res.iterations, res.row_actions) == ("budget-exhausted", 3, 9)
+    assert [(r.k, r.row_actions) for r in res.records] == [(0, 0), (2, 6), (3, 9)]
+
+
+def test_run_status_order_when_bounds_meet():
+    # a trial that converges or diverges at the iteration its budget is spent
+    # reports the RSE bound, not the budget
+    problem = synthetic_problem(12, 5, seed=81)
+    cfg = SolverConfig(method="rrdr", r=2, seed=4, stop=StopRule(rse_tol=1e-6))
+    (free,) = run(problem, cfg)
+    assert free.status == "converged"
+    stop = StopRule(rse_tol=1e-6, max_iterations=free.iterations)
+    (res,) = run(problem, SolverConfig(method="rrdr", r=2, seed=4, stop=stop))
+    assert (res.status, res.iterations, res.rse) == ("converged", free.iterations, free.rse)
+    problem = synthetic_problem(20, 8, seed=1)
+    cfg = SolverConfig(method="mrrdr", r=2, alpha=0.9, beta=0.95, seed=3,
+                       stop=StopRule(rse_tol=1e-12, max_iterations=10_000))
+    (free,) = run(problem, cfg)
+    assert free.status == "diverged"
+    stop = StopRule(rse_tol=1e-12, max_iterations=free.iterations)
+    (res,) = run(problem, SolverConfig(method="mrrdr", r=2, alpha=0.9, beta=0.95,
+                                       seed=3, stop=stop))
+    assert (res.status, res.iterations) == ("diverged", free.iterations)
 
 
 def test_run_divergence_status():
