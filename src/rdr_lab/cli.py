@@ -13,7 +13,7 @@ from pathlib import Path
 from .harness import (build_problem, figure_presets, parse_config_file, preset,
                       rate_reports, run_experiment)
 from .linalg import spectral_scalars
-from .sampling import Rng
+from .sampling import child_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,7 +60,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_rates(args) -> int:
     spec = _read_config(args.config)
-    problem = build_problem(spec.problem, Rng(spec.seed).child(0).seed)
+    problem = build_problem(spec.problem, child_seed(spec.seed, 0))
     reports = rate_reports(spec, problem)
     scal = spectral_scalars(problem.A)
     m, n = problem.shape

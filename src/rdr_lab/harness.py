@@ -22,7 +22,7 @@ import numpy as np
 from . import problems as problems_mod
 from .linalg import spectral_scalars, svd_small
 from .problems import GraphSpec, Problem
-from .sampling import MASK64, Rng, _whole
+from .sampling import MASK64, Rng, _whole, child_seed
 from .solvers import METHODS, RunResult, SolverConfig, StopRule, run
 from .theory import rate_report
 
@@ -90,8 +90,10 @@ class ExperimentSpec:
         if trials is None or trials < 1:
             raise ConfigError("trials must be a whole number >= 1")
         self.trials = trials
-        if _whole(self.seed) is None or not 0 <= self.seed <= MASK64:
+        seed = _whole(self.seed)
+        if seed is None or not 0 <= seed <= MASK64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
+        self.seed = seed
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +286,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     generation.  Rows are emitted in (config, trial, step) order.  Trace
     records carry direction metrics on adversarial problems."""
     spec.validate()
-    root = Rng(spec.seed)
-    problem = build_problem(spec.problem, root.child(0).seed)
+    problem = build_problem(spec.problem, child_seed(spec.seed, 0))
 
     sigma_min = None
     metrics_fn = None
@@ -297,7 +298,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
 
     t_start = time.perf_counter()
     trials = [(config.label(), trial, replace(
-        config, seed=root.child(g * spec.trials + trial + 1).seed))
+        config, seed=child_seed(spec.seed, g * spec.trials + trial + 1)))
         for g, config in enumerate(spec.configs) for trial in range(spec.trials)]
     results = {}  # by position in ``trials``; methods in order of first appearance
     for method in dict.fromkeys(config.method for config in spec.configs):

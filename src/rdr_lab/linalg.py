@@ -8,6 +8,7 @@ reference solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class Matrix:
-    """Dense row-major matrix with cached squared row norms.
+    """Dense row-major matrix with cached squared row and column norms.
 
     Entries are frozen after construction so cached norms and the SVD that
     :func:`svd_small` stores on the instance stay valid, and the instance can
@@ -40,16 +41,19 @@ class Matrix:
         self.row_norms_sq.flags.writeable = False
         self.frob_sq = float(self.row_norms_sq.sum())
         self.zero_rows = [int(i) for i in np.flatnonzero(self.row_norms_sq == 0.0)]
-        self._col_norms_sq = None
         self._svd = None
 
-    @property
+    @cached_property
     def col_norms_sq(self):
-        if self._col_norms_sq is None:
-            c = np.einsum("ij,ij->j", self.entries, self.entries)
-            c.flags.writeable = False
-            self._col_norms_sq = c
-        return self._col_norms_sq
+        c = np.einsum("ij,ij->j", self.entries, self.entries)
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def columns(self):  # Aᵀ, contiguous and read-only
+        c = np.ascontiguousarray(self.entries.T)
+        c.flags.writeable = False
+        return c
 
     @property
     def shape(self):

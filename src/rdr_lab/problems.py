@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import Matrix, projected_solution, reflect_row, svd_small
-from .sampling import Rng, WeightedSampler
+from .sampling import Rng, WeightedSampler, child_seed
 
 GEOMETRIC_RETRIES = 50
 _SOLUTION_RETRIES = 10
@@ -136,14 +136,13 @@ def _planted(A: Matrix, seed: int, label: str) -> Problem:
 
 def synthetic_problem(m: int, n: int, seed: int, label: str = "gaussian") -> Problem:
     """Gaussian system with planted row-space solution, started at zero."""
-    return _planted(gen_gaussian(m, n, seed), Rng(seed).child(1).seed,
+    return _planted(gen_gaussian(m, n, seed), child_seed(seed, 1),
                     f"{label}-{m}x{n}")
 
 
 def conditioned_problem(m: int, n: int, target_ratio: float, seed: int) -> Problem:
     """Spectrum-shaped Gaussian system, started at zero."""
-    return _planted(gen_conditioned(m, n, target_ratio, seed),
-                    Rng(seed).child(1).seed,
+    return _planted(gen_conditioned(m, n, target_ratio, seed), child_seed(seed, 1),
                     f"conditioned-{m}x{n}-r{target_ratio:g}")
 
 

@@ -43,6 +43,11 @@ def _splitmix64(z: int) -> int:
     return z
 
 
+def child_seed(seed: int, index: int) -> int:
+    """The seed of child stream ``index`` of ``seed``: splitmix64(seed ^ index)."""
+    return _splitmix64(int(seed) ^ (int(index) & MASK64))
+
+
 class Rng:
     """Deterministic random stream backed by numpy's PCG64.
 
@@ -77,12 +82,8 @@ class Rng:
         return self._gen.permutation(n)
 
     def child(self, index: int) -> "Rng":
-        """Independent stream for trial ``index``.
-
-        The child seed is ``splitmix64(seed XOR index)``; distinct indices
-        under one parent give distinct streams.
-        """
-        return Rng(_splitmix64(self.seed ^ (int(index) & MASK64)))
+        """Independent stream for trial ``index``, seeded by :func:`child_seed`."""
+        return Rng(child_seed(self.seed, index))
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"

@@ -142,9 +142,10 @@ class Runs(tuple):
     row_actions = property(lambda self: sum(res.row_actions for res in self))
 
 
-# a block's rows: SolverState arrays, parameters, row actions an iteration, streams
+# a block's rows: SolverState arrays, parameters, row actions an iteration,
+# streams; take skips z_last, which the next update rewrites before any exit
 _LANE_ARRAYS = ("x", "x_prev", "z_aux", "mu", "residual", "z_last")
-_PER_LANE = _LANE_ARRAYS + ("r", "alpha", "beta", "penalty", "per", "rngs")
+_PER_LANE = _LANE_ARRAYS[:-1] + ("r", "alpha", "beta", "penalty", "per", "rngs")
 
 
 class _Lanes:
@@ -159,8 +160,10 @@ class _Lanes:
     lanes that stay until the next refill."""
 
     def __init__(self, problem: Problem, states, configs, rngs, size: int):
-        # a step function's one lane is a view of its state
-        stack = (lambda rows: rows[0][None]) if len(states) == 1 else np.stack
+        # a step function's one lane is a view of its state (or a contiguous
+        # copy, which _step stores back)
+        stack = (lambda rows: np.ascontiguousarray(rows[0])[None]) \
+            if len(states) == 1 else np.stack
         self.k, self.cyclic_cursor = states[0].k, states[0].cyclic_cursor
         for name in ("x", "z_aux", "mu", "residual"):
             rows = [getattr(s, name) for s in states]
@@ -182,8 +185,11 @@ class _Lanes:
         self._derive()
 
     def _derive(self):
-        # the fields that follow from the lanes' parameters
-        self.lane = np.arange(len(self.per))
+        # the fields that follow from the lanes' parameters; where each lane's
+        # row starts in the flat x and z_aux (reshaping them must not copy)
+        assert self.x.flags.c_contiguous
+        self.x_at, self.z_at = (None if rows is None else np.arange(0, rows.size, rows.shape[1])
+                                for rows in (self.x, self.z_aux))
         if self.alpha is not None:
             self.stay = 1.0 - self.alpha
         if self.r is not None:
@@ -295,30 +301,21 @@ def _project(lanes: _Lanes, problem: Problem, i, shift=None):
     lanes.k += 1
 
 
-def _columns(A, j) -> np.ndarray:
-    # columns j of A as rows with a stride, as A's column views have unless
-    # n = 1: OpenBLAS sums a strided vector in another order than a contiguous one
+def _columns(A, j):
+    # columns j of A as rows, for dots with a stride, as A's column views have
+    # unless n = 1 (OpenBLAS sums a strided vector in another order than a
+    # contiguous one), and contiguous, which products take faster
+    flat = A.columns.take(j, 0)
     cols = np.empty((len(j), A.m, 1 + (A.n > 1)))[..., 0]
-    cols[...] = A.entries.T[j]
-    return cols
+    cols[...] = flat
+    return cols, flat
 
 
 def _rek_update(lanes: _Lanes, problem: Problem, drawn):
     j, i = drawn.T
-    col, z = _columns(problem.A, j), lanes.z_aux
-    z -= col * (np.vecdot(col, z) / problem.A.col_norms_sq[j])[:, None]
-    _project(lanes, problem, i, z[lanes.lane, i])
-
-
-def _coordinate(lanes, problem, j, mu_over_pen=None, lane=slice(None)):
-    # exact minimization along coordinate j of each lane, residual kept
-    col, res = _columns(problem.A, j), lanes.residual
-    t = np.vecdot(col, res[lane])
-    if mu_over_pen is not None:
-        t = t - np.vecdot(col, mu_over_pen[lane])
-    delta = -t / problem.A.col_norms_sq[j]
-    lanes.x[lanes.lane[lane], j] += delta
-    res[lane] += col * delta[:, None]
+    (col, flat), z = _columns(problem.A, j), lanes.z_aux
+    z -= flat * (np.vecdot(col, z) / problem.A.col_norms_sq[j])[:, None]
+    _project(lanes, problem, i, z.reshape(-1)[lanes.z_at + i])
 
 
 def _residuals(problem: Problem, x) -> np.ndarray:
@@ -327,7 +324,12 @@ def _residuals(problem: Problem, x) -> np.ndarray:
 
 
 def _rgs_update(lanes: _Lanes, problem: Problem, drawn):
-    _coordinate(lanes, problem, drawn[:, 0])
+    # exact minimization along coordinate j of each lane, residual kept
+    j, res = drawn[:, 0], lanes.residual
+    col, flat = _columns(problem.A, j)
+    delta = -np.vecdot(col, res) / problem.A.col_norms_sq[j]
+    lanes.x.reshape(-1)[lanes.x_at + j] += delta
+    res += flat * delta[:, None]
     lanes.k += 1
     if lanes.k % RGS_RECOMPUTE_EVERY == 0:
         # cap incremental drift with a periodic full recompute
@@ -335,15 +337,26 @@ def _rgs_update(lanes: _Lanes, problem: Problem, drawn):
 
 
 def _rp_admm_update(lanes: _Lanes, problem: Problem, rngs):
-    cn = problem.A.col_norms_sq
-    mu_over_pen, some_zero = lanes.mu / lanes.penalty, not cn.all()
-    for j in np.stack([rng.permutation(problem.A.n) for rng in rngs]).T:
-        lane = slice(None)
-        if some_zero and not cn[j].all():
-            warnings.warn("rp-admm: skipping zero column", stacklevel=3)
-            lane = np.flatnonzero(cn[j])
-            j = j[lane]
-        _coordinate(lanes, problem, j, mu_over_pen, lane)
+    # lane t minimizes along coordinates j[:, t] in turn, skipping a zero
+    # column; lanes share nothing, so step s takes each lane's s-th live one
+    A, res, width = problem.A, lanes.residual, len(rngs)
+    j = np.stack([rng.permutation(A.n) for rng in rngs], 1)
+    live = A.col_norms_sq[j] != 0.0
+    for _ in range(np.count_nonzero(~live.all(1))):
+        warnings.warn("rp-admm: skipping zero column", stacklevel=3)
+    j = j.T[live.T].reshape(width, -1).T
+    cn, delta = A.col_norms_sq[j], np.empty(j.shape)
+    # only the residual carries a step to the next: columns and multiplier dots
+    # come DRAW_BLOCK elements at a time; x, each element moved once at most,
+    # takes the moves at the end
+    mu_over_pen, steps = lanes.mu / lanes.penalty, max(1, DRAW_BLOCK // (A.m * width))
+    for s0 in range(0, len(j), steps):
+        cols, flat = (c.reshape(-1, width, A.m)
+                      for c in _columns(A, j[s0:s0 + steps].ravel()))
+        for s, col, dot in zip(range(s0, len(j)), cols, np.vecdot(cols, mu_over_pen)):
+            step = delta[s] = -(np.vecdot(col, res) - dot) / cn[s]
+            res += flat[s - s0] * step[:, None]
+    lanes.x.reshape(-1)[j + lanes.x_at] += delta
     # refresh before the multiplier step so incremental drift cannot build up
     lanes.residual = _residuals(problem, lanes.x)
     lanes.mu -= lanes.residual
@@ -410,6 +423,18 @@ def _record(problem: Problem, metrics_fn, k: int, row_actions: int, x, rse: floa
                        *(() if metrics_fn is None else metrics_fn(x)))
 
 
+def _gate_bound(rse: float, den: float, side: float) -> float:
+    """The float s furthest toward ``side`` (inf or -inf) with s / den not past
+    ``rse``, if within four steps of rse * den, else -side.  Division by den > 0
+    rounds monotonically, so sq is not past s exactly when sq / den is not past rse."""
+    ok = (lambda s: s / den <= rse) if side > 0 else (lambda s: s / den >= rse)
+    s = rse * den
+    for _ in range(4):  # in until s passes, then out while the next float does
+        out = math.nextafter(s, side)
+        s = out if ok(out) else s if ok(s) else math.nextafter(s, -side)
+    return s if ok(s) else -side
+
+
 def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     """Drive trials of one method to their stopping rules, as one block.
 
@@ -459,6 +484,9 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     trace = every.copy()
     update, results, rse = _UPDATES[method], [None] * len(configs), np.full(len(group), rse0)
     ended = dict.fromkeys(np.flatnonzero((rse0 < tol) | (den == 0.0)).tolist(), "converged")
+    # the gate's x0_star, a row a lane, and its bound in squared units
+    x0_star = np.tile(problem.x0_star, (len(group), 1))
+    hi = _gate_bound(DIVERGENCE_RSE, den, math.inf) if den > 0.0 else -math.inf
     while True:
         # results of the lanes that ended, and a block of the others
         for i, status in ended.items():
@@ -479,18 +507,18 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
             keep = np.delete(np.arange(len(pos)), list(ended))
             lanes.take(keep)
             pos, tol, end, every, trace = (a[keep] for a in (pos, tol, end, every, trace))
+            x0_star = x0_star[:len(keep)]
         # the first iteration at which each lane's budget is spent or its
         # next record falls due
         due = np.minimum(end, np.ceil(trace / lanes.per))
-        tol_max, next_due, flagged, ended = tol.max(), due.min(), [], {}
+        lo, next_due, flagged, ended = _gate_bound(tol.max(), den, -math.inf), due.min(), [], {}
         while len(flagged) == 0:
             update(lanes, problem, lanes.draw())
-            k, d = lanes.k, lanes.x - problem.x0_star
+            k, d = lanes.k, lanes.x - x0_star
             sq = np.vecdot(d, d)
-            # division by den keeps order, so unless these fail, no lane
-            # can end or need a record
-            if k < next_due and np.maximum.reduce(sq) / den <= DIVERGENCE_RSE \
-                    and np.minimum.reduce(sq) / den >= tol_max:
+            # unless these fail, no lane can end or need a record
+            if k < next_due and np.maximum.reduce(sq) <= hi \
+                    and np.minimum.reduce(sq) >= lo:
                 continue
             rse = sq / den
             flagged = np.flatnonzero(~(rse <= DIVERGENCE_RSE) | (rse < tol) | (due <= k))

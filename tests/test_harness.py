@@ -455,6 +455,18 @@ def test_experiment_seed_is_a_whole_number():
     replace(spec, seed=3.0).validate()
 
 
+def test_experiment_whole_float_seed_writes_the_int_seed(tmp_path):
+    # seed = 3.0 ran the experiment of seed 3 but wrote "seed = 3.0" to meta
+    spec = preset("fig-failure", seed=3)
+    metas = []
+    for seed in (3, 3.0):
+        res = run_experiment(replace(spec, seed=seed), out_dir=tmp_path / str(seed))
+        metas.append([line for line in res.meta_path.read_text().splitlines()
+                      if not line.startswith("wall_clock")])
+    assert metas[0] == metas[1]
+    assert "seed = 3" in metas[0]
+
+
 def test_experiment_trials_is_a_whole_number(tmp_path):
     # trials of 1.5 or 2.0 once validated and then died in range() with a TypeError
     spec = _tiny_spec(tmp_path)

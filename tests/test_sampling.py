@@ -10,6 +10,7 @@ from rdr_lab.sampling import (
     Rng,
     WeightedSampler,
     _splitmix64,
+    child_seed,
 )
 
 # 99.9% chi-square critical values (standard tables), keyed by df
@@ -79,9 +80,10 @@ def test_rng_same_seed_same_stream():
 
 
 def test_rng_child_seeds_golden():
-    assert [Rng(42).child(i).seed for i in range(4)] == [
-        13679457532755275413, 13432527470776545160,
-        3935774486848180498, 1265094156158224713]
+    golden = [13679457532755275413, 13432527470776545160,
+              3935774486848180498, 1265094156158224713]
+    assert [Rng(42).child(i).seed for i in range(4)] == golden
+    assert [child_seed(42, i) for i in range(4)] == golden
 
 
 def test_rng_child_streams_differ():

@@ -2,9 +2,12 @@
 trajectory invariants, the run driver, and terminal statuses."""
 
 import math
+from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rdr_lab.linalg import Matrix, projected_solution
 from rdr_lab.problems import (
@@ -29,6 +32,7 @@ from rdr_lab.solvers import (
     rp_admm_step,
     rrdr_step,
     run,
+    _gate_bound,
 )
 
 
@@ -224,6 +228,28 @@ def test_run_matches_public_step_replay(method):
     np.testing.assert_array_equal(res.x, state.x)
 
 
+@pytest.mark.parametrize("method", ("rgs", "rek", "rp-admm"))
+def test_step_on_a_strided_state(method):
+    # rgs and rp-admm write x, and rek reads z_aux, through a flat index over
+    # the lane block, which a strided state array must not lose; a step on it
+    # gives the bits of a step on a contiguous copy
+    from rdr_lab import solvers
+
+    problem = synthetic_problem(12, 5, seed=64)
+    cfg = SolverConfig(method=method, seed=7)
+    want, got = init_state(problem, cfg), init_state(problem, cfg)
+    for name in ("x", "z_aux", "residual", "mu"):
+        if (rows := getattr(got, name)) is not None:
+            setattr(got, name, np.repeat(rows, 2)[::2])
+    step = getattr(solvers, method.replace("-", "_") + "_step")
+    rng_a, rng_b = Rng(cfg.seed), Rng(cfg.seed)
+    for _ in range(3):
+        step(want, problem, cfg, rng_a)
+        step(got, problem, cfg, rng_b)
+    for name in ("x", "z_aux", "residual", "mu"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def _assert_same_trial(got, want):
     assert (got.status, got.iterations, got.row_actions) \
         == (want.status, want.iterations, want.row_actions)
@@ -256,15 +282,35 @@ def _mixed_group(method):
     return configs
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_grouped_trials_match_lone_runs(method):
+def _zero_column_problem():
+    # the 20x8 system with column 3 zeroed, which rp-admm skips with a warning
+    arr = synthetic_problem(20, 8, seed=1).A.entries.copy()
+    arr[:, 3] = 0.0
+    x_star = Rng(4).normal(8)
+    b = arr @ x_star
+    return Problem(A=Matrix(arr), b=b, x_star=x_star, x0=np.zeros(8),
+                   x0_star=projected_solution(arr, b, np.zeros(8)))
+
+
+@pytest.mark.parametrize("method, make_problem", [
+    *(pytest.param(method, lambda: synthetic_problem(20, 8, seed=1), id=method)
+      for method in METHODS),
+    # 1000 rows: an rp-admm sweep gathers its columns in several chunks,
+    # of other sizes alone than in the group
+    pytest.param("rp-admm", lambda: synthetic_problem(1000, 40, seed=1), id="rp-admm-chunks"),
+    pytest.param("rp-admm", _zero_column_problem, id="rp-admm-zero-column")])
+def test_grouped_trials_match_lone_runs(method, make_problem):
     # a trial's result does not depend on the other trials of its run call
-    problem = synthetic_problem(20, 8, seed=1)
+    problem = make_problem()
     configs = _mixed_group(method)
-    runs = run(problem, *configs)
+    warns = pytest.warns(UserWarning, match="zero column") \
+        if not problem.A.col_norms_sq.all() else nullcontext()
+    with warns:
+        runs = run(problem, *configs)
     assert len(runs) == len(configs)
     for cfg, res in zip(configs, runs):
-        (alone,) = run(problem, cfg)
+        with warns:
+            (alone,) = run(problem, cfg)
         _assert_same_trial(res, alone)
     statuses = [res.status for res in runs]
     assert {"converged", "budget-exhausted"} <= set(statuses)
@@ -275,12 +321,12 @@ def test_grouped_trials_match_lone_runs(method):
     assert runs.row_actions == sum(res.row_actions for res in runs)
 
 
-@pytest.mark.parametrize("method", ("rrdr", "mrrdr", "rk", "rek", "rgs"))
+@pytest.mark.parametrize("method", ("rrdr", "mrrdr", "rk", "rek", "rgs", "rp-admm"))
 def test_draw_block_size_never_touches_bits(method, monkeypatch):
     # how many iterations a refill covers must not show in any trial: small
     # blocks refill after lane exits (the row map of the lanes that stay),
     # mixed r gathers each lane's draws from the flat block, and rek looks
-    # up two samplers
+    # up two samplers; rp-admm gathers its columns in chunks of the same size
     from rdr_lab import solvers
 
     problem = synthetic_problem(20, 8, seed=1)
@@ -312,6 +358,43 @@ def test_mixed_momentum_block_keeps_signed_zero():
         assert np.signbit(res.x[1]) == (cfg.beta == 0.0)
 
 
+_MAX = 1.7976931348623157e308
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=_MAX), st.floats(min_value=5e-324, max_value=1e300))
+@example(5e-324, 5e-324)
+@example(_MAX, 1e-12)
+@example(_MAX, 5e-324)
+@example(1e-310, 1e-12)
+def test_gate_bounds_keep_the_order_of_division(den, tol):
+    # run's gate compares squared distances with these bounds in place of
+    # RSEs with DIVERGENCE_RSE and the largest rse_tol: whatever passes must
+    # pass the division, and where the quotients are normal nothing more fails
+    hi, lo = _gate_bound(DIVERGENCE_RSE, den, math.inf), _gate_bound(tol, den, -math.inf)
+    assert hi == -math.inf or hi / den <= DIVERGENCE_RSE
+    assert lo == math.inf or lo / den >= tol
+    if 1e-290 < den < 1e290:
+        assert math.nextafter(hi, math.inf) / den > DIVERGENCE_RSE
+    if 1e-300 < tol < 1e6 and 1e-300 < tol * den < 1e300:
+        assert math.nextafter(lo, -math.inf) / den < tol
+
+
+@pytest.mark.parametrize("below", (0, 1))
+def test_rse_on_the_tolerance_does_not_stop_a_lane(below):
+    # RSE exactly on rse_tol is not below it, so the lane goes on; one ulp
+    # below it stops there.  rk never moves away from the solution
+    problem = synthetic_problem(30, 6, seed=5)
+    traced = SolverConfig(method="rk", seed=9, trace_every=1,
+                          stop=StopRule(rse_tol=None, max_iterations=60))
+    rse = [rec.rse for rec in run(problem, traced)[0].records]
+    k0 = 40
+    tol = math.nextafter(rse[k0], math.inf) if below else rse[k0]
+    (res,) = run(problem, replace(traced, stop=StopRule(rse_tol=tol), trace_every=0))
+    assert (res.status, res.iterations) == ("converged", k0 + 1 - below)
+    assert rse[k0 - below] >= tol > rse[k0 + 1 - below]
+
+
 def test_run_takes_configs_of_one_method():
     problem = synthetic_problem(12, 5, seed=3)
     with pytest.raises(ValueError, match="one method"):
@@ -335,9 +418,12 @@ def test_lane_dot_matches_ndarray_dot(n):
         got = np.vecdot(A.entries.take(rows, 0), z)
         want = [A.entries[i].dot(zi) for i, zi in zip(rows, z)]
         assert got.tobytes() == np.array(want).tobytes(), ("rows", T)
-        got = np.vecdot(solvers._columns(A, cols), w)
+        strided, flat = solvers._columns(A, cols)
+        got = np.vecdot(strided, w)
         want = [A.entries.T[j].dot(wi) for j, wi in zip(cols, w)]
         assert got.tobytes() == np.array(want).tobytes(), ("columns", T)
+        # the contiguous copy, which products read, holds the same columns
+        assert flat.tobytes() == strided.copy().tobytes() == A.entries.T[cols].tobytes()
 
 
 def test_deterministic_replay():
