@@ -57,9 +57,10 @@ class ProblemSpec:
     def validate(self):
         if self.source not in _SOURCES:
             raise ConfigError(f"unknown problem source: {self.source}")
-        if self.source in ("synthetic", "conditioned", "adversarial"):
-            if self.m < 1 or self.n < 1:
-                raise ConfigError("problem dimensions must be positive")
+        for name in ("m", "n", "nodes"):
+            if (value := _whole(getattr(self, name))) is None or value < 1:
+                raise ConfigError(f"'{name}' must be a whole number >= 1")
+            setattr(self, name, value)
         if self.source == "conditioned" and self.ratio is None:
             raise ConfigError("conditioned problems need 'ratio'")
         if self.source == "mtx" and not self.path:
@@ -180,6 +181,9 @@ def parse_config(text: str) -> ExperimentSpec:
     sections = _parse_lines(text)
     problem, solvers, run_sec = (sections[name] for name in _KEYS)
     experiment = {"label": problem.pop("label")} if "label" in problem else {}
+    if problem.get("source") == "adversarial" and "m" in problem \
+            and problem["m"] != problem.get("n", ProblemSpec.n):
+        raise ConfigError("adversarial problems are square: 'm' must equal 'n'")
     for key, name in (("trials", "trials"), ("seed", "seed"), ("out", "out_dir")):
         if key in run_sec:
             experiment[name] = run_sec.pop(key)

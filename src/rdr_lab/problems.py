@@ -44,6 +44,10 @@ class Problem:
         for v in (self.x_star, self.x0, self.x0_star):
             if v.shape != (n,):
                 raise ValueError("invalid matrix: vector has wrong length")
+        # |x0 - x0_star|^2 divides every RSE: if it overflows, a run ends at k = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(float((d := self.x0 - self.x0_star) @ d)):
+                raise ValueError("invalid start point: |x0 - x0_star|^2 is not finite")
         scale = math.sqrt(self.A.frob_sq) * max(1.0, float(np.abs(self.x_star).max()))
         resid = self.A.entries @ self.x_star - self.b
         if float(np.sqrt(resid @ resid)) > 1e-8 * max(scale, 1.0):

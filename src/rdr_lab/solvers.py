@@ -246,9 +246,9 @@ class _Lanes:
 
 
 # Updates: one iteration of every lane, given the indices it drew.  Dots are
-# np.vecdot over gathered rows, which sums each lane as ndarray.dot does (both
-# call the BLAS ddot), and each elementwise operation keeps the order of the
-# one-trial formula, so no lane's bits depend on the others.
+# np.vecdot over rows gathered from A or Aᵀ (A.columns), which sums each lane
+# as ndarray.dot does (both call the BLAS ddot), and each elementwise operation
+# keeps the order of the one-trial formula, so no lane's bits depend on others.
 
 
 def _dr_update(lanes: _Lanes, problem: Problem, rows):
@@ -301,20 +301,10 @@ def _project(lanes: _Lanes, problem: Problem, i, shift=None):
     lanes.k += 1
 
 
-def _columns(A, j):
-    # columns j of A as rows, for dots with a stride, as A's column views have
-    # unless n = 1 (OpenBLAS sums a strided vector in another order than a
-    # contiguous one), and contiguous, which products take faster
-    flat = A.columns.take(j, 0)
-    cols = np.empty((len(j), A.m, 1 + (A.n > 1)))[..., 0]
-    cols[...] = flat
-    return cols, flat
-
-
 def _rek_update(lanes: _Lanes, problem: Problem, drawn):
     j, i = drawn.T
-    (col, flat), z = _columns(problem.A, j), lanes.z_aux
-    z -= flat * (np.vecdot(col, z) / problem.A.col_norms_sq[j])[:, None]
+    col, z = problem.A.columns.take(j, 0), lanes.z_aux
+    z -= col * (np.vecdot(col, z) / problem.A.col_norms_sq[j])[:, None]
     _project(lanes, problem, i, z.reshape(-1)[lanes.z_at + i])
 
 
@@ -326,10 +316,10 @@ def _residuals(problem: Problem, x) -> np.ndarray:
 def _rgs_update(lanes: _Lanes, problem: Problem, drawn):
     # exact minimization along coordinate j of each lane, residual kept
     j, res = drawn[:, 0], lanes.residual
-    col, flat = _columns(problem.A, j)
+    col = problem.A.columns.take(j, 0)
     delta = -np.vecdot(col, res) / problem.A.col_norms_sq[j]
     lanes.x.reshape(-1)[lanes.x_at + j] += delta
-    res += flat * delta[:, None]
+    res += col * delta[:, None]
     lanes.k += 1
     if lanes.k % RGS_RECOMPUTE_EVERY == 0:
         # cap incremental drift with a periodic full recompute
@@ -351,11 +341,10 @@ def _rp_admm_update(lanes: _Lanes, problem: Problem, rngs):
     # takes the moves at the end
     mu_over_pen, steps = lanes.mu / lanes.penalty, max(1, DRAW_BLOCK // (A.m * width))
     for s0 in range(0, len(j), steps):
-        cols, flat = (c.reshape(-1, width, A.m)
-                      for c in _columns(A, j[s0:s0 + steps].ravel()))
+        cols = A.columns[j[s0:s0 + steps]]
         for s, col, dot in zip(range(s0, len(j)), cols, np.vecdot(cols, mu_over_pen)):
             step = delta[s] = -(np.vecdot(col, res) - dot) / cn[s]
-            res += flat[s - s0] * step[:, None]
+            res += col * step[:, None]
     lanes.x.reshape(-1)[j + lanes.x_at] += delta
     # refresh before the multiplier step so incremental drift cannot build up
     lanes.residual = _residuals(problem, lanes.x)
@@ -467,8 +456,8 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     group = [configs[i] for i in order]
     states = [init_state(problem, c) for c in group]
     d = states[0].x - problem.x0_star
-    den = float(d @ d)
-    rse0 = float(d @ d) / den if den > 0.0 else 0.0
+    den = float(d @ d)  # finite, as Problem checks
+    rse0 = 1.0 if den > 0.0 else 0.0
     # each config's trace, by its place in the call
     records = {p: [_record(problem, metrics_fn, 0, 0, s.x, rse0)] for p, s in zip(order, states)}
     lanes = _Lanes(problem, states, group, [Rng(c.seed) for c in group], DRAW_BLOCK)

@@ -13,8 +13,8 @@ The digests were computed with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64,
 DYNAMIC_ARCH build), Python 3.11.  Another BLAS build may sum dot products in
 another order and change the last bits of the CSVs.  ``run`` advances all
 trials of a method as one block and takes each lane's dots with ``np.vecdot``
-over gathered rows; the digests rest on that summing each row exactly as
-``ndarray.dot`` does, contiguous rows and strided column copies alike, which
+over contiguous rows gathered from A or from its transpose; the digests rest on
+that summing each row exactly as ``ndarray.dot`` does, which
 ``tests/test_solvers.py::test_lane_dot_matches_ndarray_dot`` checks by name.  The synthetic digests
 take ``x0_star`` from LAPACK's SVD of the problem matrix; they read the same
 with one and with two BLAS threads.
@@ -48,8 +48,8 @@ GOLDEN = {
         "11d38defc6ab1c41db1a1c20d6c578efc2c6147e14026008c424a17400ecd2e8",
         "b8636c7bdf076fef07112f3fe702c3da545c2f29ccaaaef4ab2f7e14b4549dd7"),
     "fig-baselines": (
-        "bcf59b058dd490060d07c225908e5d0d358b2a235ee65dd22aebe73b497e17f2",
-        "f779c38054d620a4f708cb34ce540ac312ec05d42a4bd52dc13abcf3331c4ad2"),
+        "cab748371046e7e17aab9c489198f1ad7480155c1421c8afc8971550a694a92e",
+        "a96352527f058552e0518806a978dd52a09e9100067da501a2e4f5fca37779c0"),
     "fig-vs-cyclic": (
         "3d165fa9f90f1d81d7ced5e76db6659f6e44b986e06469da05fa1dc2bbea91f7",
         "c125bed1a78f3350e07a0ffc1f5339a89ccc7960f02b5c0b98ce42b855d07678"),

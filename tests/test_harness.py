@@ -200,6 +200,34 @@ def test_build_problem_validates():
         build_problem(ProblemSpec(source="ac", topology="torus"), seed=0)
 
 
+def test_problem_dimensions_are_whole_numbers():
+    # m = 20.0 or nodes = 6.0 once validated and then died in the build with
+    # a bare TypeError
+    spec = ProblemSpec(source="synthetic", m=20.0, n=5)
+    assert build_problem(spec, seed=1).A.shape == (20, 5)
+    assert type(spec.m) is int and type(spec.n) is int
+    spec = ProblemSpec(source="ac", nodes=6.0)
+    assert build_problem(spec, seed=1).A.shape[1] == 6
+    assert type(spec.nodes) is int
+    for name in ("m", "n", "nodes"):
+        for value in (20.5, 0, math.inf, math.nan, "20"):
+            with pytest.raises(ConfigError, match=f"'{name}' must be a whole number >= 1"):
+                replace(ProblemSpec(source="synthetic"), **{name: value}).validate()
+
+
+def test_parse_adversarial_rejects_m_other_than_n():
+    # an adversarial system is built from n alone: m = 10, n = 40 gave 40x40
+    with pytest.raises(ConfigError, match="'m' must equal 'n'"):
+        parse_config("[problem]\nsource = adversarial\nm = 10\nn = 40\n")
+    with pytest.raises(ConfigError, match="'m' must equal 'n'"):
+        parse_config("[problem]\nsource = adversarial\nm = 40\n")  # n = 50
+    for text in ("m = 40\nn = 40\n", "n = 40\n", ""):
+        spec = parse_config("[problem]\nsource = adversarial\n" + text)
+        assert build_problem(spec.problem, seed=1).A.shape == (spec.problem.n,) * 2
+    spec = parse_config("[problem]\nsource = synthetic\nm = 10\nn = 4\n")
+    assert build_problem(spec.problem, seed=1).A.shape == (10, 4)
+
+
 # ---------------------------------------------------------------------------
 # direction metrics
 # ---------------------------------------------------------------------------

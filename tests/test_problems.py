@@ -41,6 +41,21 @@ def test_problem_rejects_inconsistent_b():
                 x0=np.zeros(2), x0_star=np.zeros(2))
 
 
+def test_problem_rejects_start_error_that_overflows():
+    # |x0 - x0_star|^2 = 1e310 once made every run end numerical-divergence
+    # at k = 1, with nan RSE and RuntimeWarnings, though nothing diverged
+    A = Matrix(np.eye(2))
+    x0_star = np.array([1e155, 0.0])
+    with pytest.raises(ValueError, match="invalid start point"):
+        Problem(A=A, b=x0_star, x_star=x0_star, x0=np.zeros(2), x0_star=x0_star)
+    for x0 in (np.array([np.nan, 0.0]), np.array([-1e308, 0.0])):
+        with pytest.raises(ValueError, match="invalid start point"):
+            Problem(A=A, b=np.array([1e308, 0.0]), x_star=np.array([1e308, 0.0]),
+                    x0=x0, x0_star=np.array([1e308, 0.0]))
+    x0_star = np.array([1e153, 0.0])  # |x0 - x0_star|^2 = 1e306 is finite
+    Problem(A=A, b=x0_star, x_star=x0_star, x0=np.zeros(2), x0_star=x0_star)
+
+
 def test_problem_consistency_invariant():
     for seed in (0, 1, 2):
         p = synthetic_problem(30, 12, seed)

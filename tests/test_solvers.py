@@ -405,11 +405,9 @@ def test_run_takes_configs_of_one_method():
 
 @pytest.mark.parametrize("n", (1, 3, 7, 50, 128, 500))
 def test_lane_dot_matches_ndarray_dot(n):
-    # run() takes each lane's dots with np.vecdot over gathered rows and
-    # strided column copies; they must sum as ndarray.dot does on one row
-    # or one column view of A, or no lane keeps its one-trial bits
-    from rdr_lab import solvers
-
+    # run() takes each lane's dots with np.vecdot over rows gathered from A
+    # and from its contiguous transpose A.columns; they must sum as
+    # ndarray.dot does on one such row, or no lane keeps its one-trial bits
     rng = np.random.default_rng(n)
     A = Matrix(rng.standard_normal((n + 5, n)))
     for T in (1, 10, 250):
@@ -418,12 +416,9 @@ def test_lane_dot_matches_ndarray_dot(n):
         got = np.vecdot(A.entries.take(rows, 0), z)
         want = [A.entries[i].dot(zi) for i, zi in zip(rows, z)]
         assert got.tobytes() == np.array(want).tobytes(), ("rows", T)
-        strided, flat = solvers._columns(A, cols)
-        got = np.vecdot(strided, w)
-        want = [A.entries.T[j].dot(wi) for j, wi in zip(cols, w)]
+        got = np.vecdot(A.columns.take(cols, 0), w)
+        want = [A.columns[j].dot(wi) for j, wi in zip(cols, w)]
         assert got.tobytes() == np.array(want).tobytes(), ("columns", T)
-        # the contiguous copy, which products read, holds the same columns
-        assert flat.tobytes() == strided.copy().tobytes() == A.entries.T[cols].tobytes()
 
 
 def test_deterministic_replay():
