@@ -107,7 +107,7 @@ def gen_conditioned(m: int, n: int, target_ratio: float, seed: int) -> Matrix:
     """
     if m < n:
         raise ValueError("invalid matrix: need m >= n")
-    if target_ratio < n:
+    if not n <= target_ratio < math.inf:
         raise ValueError("infeasible spectrum target")
     base = gen_gaussian(m, n, seed)
     res = svd_small(base)

@@ -143,9 +143,10 @@ class Runs(tuple):
 
 
 # a block's rows: SolverState arrays, parameters, row actions an iteration,
-# streams; take skips z_last, which the next update rewrites before any exit
+# streams, drawn indices; take skips z_last, which the next update rewrites
+# before any exit
 _LANE_ARRAYS = ("x", "x_prev", "z_aux", "mu", "residual", "z_last")
-_PER_LANE = _LANE_ARRAYS[:-1] + ("r", "alpha", "beta", "penalty", "per", "rngs")
+_PER_LANE = _LANE_ARRAYS[:-1] + ("r", "alpha", "stay", "beta", "penalty", "per", "rngs", "drawn")
 
 
 class _Lanes:
@@ -155,9 +156,9 @@ class _Lanes:
     acts on the leading ``prefix[j]`` lanes.  Each lane draws from its own
     stream, about ``size`` uniforms for all lanes at a time, into its own
     stretch of one flat block; PCG64 fills ``random(out=...)`` exactly as it
-    draws ``random(size)`` or ``size`` scalars.  A lane that leaves keeps its
-    rows of the drawn indices, which ``draw`` reads through a map of the
-    lanes that stay until the next refill."""
+    draws ``random(size)`` or ``size`` scalars.  The averaging weights are
+    blocks of the shape of ``x``; a lane exit compacts them with every other
+    per-lane block, the drawn indices included."""
 
     def __init__(self, problem: Problem, states, configs, rngs, size: int):
         # a step function's one lane is a view of its state (or a contiguous
@@ -171,17 +172,20 @@ class _Lanes:
         # a lane without momentum never reads its previous iterate
         self.x_prev = stack([s.x if s.x_prev is None else s.x_prev for s in states]) \
             if any(c.beta for c in configs) else None
-        # a column of each parameter the method reads
-        read = PARAMS[configs[0].method]
+        # a column of each parameter the method reads, but x's shape for the
+        # averaging weights: a product with a column runs one loop per row
+        read, n = PARAMS[configs[0].method], problem.A.n
         for name in _TAGS:
-            setattr(self, name, np.array([[getattr(c, name)] for c in configs])
-                    if name in read else None)
+            col = np.array([[getattr(c, name)] for c in configs]) if name in read else None
+            setattr(self, name, col if col is None or name in ("r", "penalty")
+                    else np.repeat(col, n, 1))
+        self.stay = None if self.alpha is None else 1.0 - self.alpha
         self.samplers = [getattr(problem, f"{name}_sampler")
                          for name in _SAMPLERS.get(configs[0].method, ())]
         # a sampled method draws one index per row action
         self.per = np.array([_per_iteration(c, problem) for c in configs])
         self.rngs = np.fromiter(rngs, object)  # an array, so ``take`` applies
-        self.size, self.z_last, self.drawn, self.row = size, None, None, None
+        self.size, self.z_last, self.drawn = size, None, None
         self._derive()
 
     def _derive(self):
@@ -190,14 +194,12 @@ class _Lanes:
         assert self.x.flags.c_contiguous
         self.x_at, self.z_at = (None if rows is None else np.arange(0, rows.size, rows.shape[1])
                                 for rows in (self.x, self.z_aux))
-        if self.alpha is not None:
-            self.stay = 1.0 - self.alpha
         if self.r is not None:
             # prefix[j] = the number of lanes with r > j
             self.prefix = np.bincount(self.r[:, 0])[:0:-1].cumsum()[::-1].tolist()
         # where the momentum term applies: every lane (True), no lane (None),
         # or every lane but those of an index array, whose term is -0.0
-        mom = 0 if self.beta is None else np.count_nonzero(self.beta)
+        mom = 0 if self.beta is None else np.count_nonzero(self.beta[:, 0])
         self.mom = None if not mom else True if mom == len(self.beta) \
             else np.flatnonzero(self.beta[:, 0] == 0.0)
 
@@ -205,9 +207,7 @@ class _Lanes:
         """Keep only the lanes ``keep``, an index array, in that order."""
         for name in _PER_LANE:
             if (rows := getattr(self, name)) is not None:
-                setattr(self, name, rows[keep])
-        # the drawn block keeps its rows; map the lanes that stay onto them
-        self.row = keep if self.row is None else self.row[keep]
+                setattr(self, name, rows.take(keep, 0))
         self._derive()
 
     def draw(self):
@@ -218,8 +218,7 @@ class _Lanes:
         if self.drawn is None or self.i == self.drawn.shape[1]:
             self._refill()
         self.i += 1
-        return self.drawn[:, self.i - 1] if self.row is None \
-            else self.drawn[self.row, self.i - 1]
+        return self.drawn[:, self.i - 1]
 
     def _refill(self):
         # lane t fills its own stretch of u, iters * per[t] draws, iteration
@@ -229,7 +228,7 @@ class _Lanes:
         iters = max(1, self.size // sum(per))
         u, start = np.empty(iters * sum(per)), 0
         for rng, c in zip(self.rngs, per):
-            rng.uniform(out=u[start:start + iters * c])
+            rng._gen.random(out=u[start:start + iters * c])  # the call inside Rng.uniform
             start += iters * c
         drawn = self.samplers[0].lookup(u) if k == 1 \
             else np.stack([s.lookup(u[p::k]) for p, s in enumerate(self.samplers)], -1)
@@ -242,7 +241,7 @@ class _Lanes:
             c = self.per[:, None, None]
             drawn = drawn[iters * (c.cumsum(0) - c) + c * np.arange(iters)[:, None]
                           + np.minimum(np.arange(width), c - 1)]
-        self.drawn, self.i, self.row = drawn, 0, None
+        self.drawn, self.i = drawn, 0
 
 
 # Updates: one iteration of every lane, given the indices it drew.  Dots are
@@ -476,6 +475,7 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     # the gate's x0_star, a row a lane, and its bound in squared units
     x0_star = np.tile(problem.x0_star, (len(group), 1))
     hi = _gate_bound(DIVERGENCE_RSE, den, math.inf) if den > 0.0 else -math.inf
+    tol_max = None
     while True:
         # results of the lanes that ended, and a block of the others
         for i, status in ended.items():
@@ -493,14 +493,20 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
         if len(ended) == len(pos):
             return Runs(results)
         if ended:
-            keep = np.delete(np.arange(len(pos)), list(ended))
+            stays = np.ones(len(pos), bool)
+            stays[list(ended)] = False
+            keep = np.flatnonzero(stays)
             lanes.take(keep)
             pos, tol, end, every, trace = (a[keep] for a in (pos, tol, end, every, trace))
             x0_star = x0_star[:len(keep)]
         # the first iteration at which each lane's budget is spent or its
-        # next record falls due
+        # next record falls due; lo is set again only when the largest
+        # rse_tol changes: lanes only leave, so a stale lo is too high at
+        # worst, which costs false alarms and never a missed stop
         due = np.minimum(end, np.ceil(trace / lanes.per))
-        lo, next_due, flagged, ended = _gate_bound(tol.max(), den, -math.inf), due.min(), [], {}
+        if (top := tol.max()) != tol_max:
+            tol_max, lo = top, _gate_bound(top, den, -math.inf)
+        next_due, flagged, ended = due.min(), [], {}
         while len(flagged) == 0:
             update(lanes, problem, lanes.draw())
             k, d = lanes.k, lanes.x - x0_star

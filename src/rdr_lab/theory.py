@@ -25,6 +25,11 @@ def _check_alpha(alpha):
         raise ValueError("invalid parameter: alpha must lie in (0, 1)")
 
 
+def _check_beta(beta):
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("invalid parameter: beta must be >= 0")
+
+
 def _check_r(r):
     if _whole(r) is None or r < 1:
         raise ValueError("invalid parameter: r must be a positive integer")
@@ -109,8 +114,7 @@ def momentum_linear_region(spec: SpectralScalars, alpha: float, r: int,
     """
     _check_alpha(alpha)
     _check_r(r)
-    if beta < 0.0:
-        raise ValueError("invalid parameter: beta must be >= 0")
+    _check_beta(beta)
     d2 = delta2(spec)
     base = rate_thm1(spec, alpha, r)
     g1 = base + 2.0 * beta * beta + 3.0 * (1.0 - alpha + alpha * d2 ** r) * beta
@@ -213,8 +217,7 @@ def mean_map(A, alpha: float, beta: float, r: int) -> MeanMap:
     """Build the expected-iterate map descriptor for a matrix."""
     _check_alpha(alpha)
     _check_r(r)
-    if beta < 0.0:
-        raise ValueError("invalid parameter: beta must be >= 0")
+    _check_beta(beta)
     V, eig = _reflection_spectrum(as_matrix(A), r)
     return MeanMap(V=V, decay=(1.0 - alpha + beta) + alpha * eig, beta=beta)
 
@@ -228,6 +231,7 @@ def enumerate_one_step(A, b, x, x_prev, alpha: float, beta: float, r: int):
     """
     _check_alpha(alpha)
     _check_r(r)
+    _check_beta(beta)
     mat = as_matrix(A)
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)

@@ -129,8 +129,11 @@ def test_gen_conditioned_preserves_singular_vectors():
 
 
 def test_gen_conditioned_infeasible():
-    with pytest.raises(ValueError, match="infeasible spectrum target"):
-        gen_conditioned(10, 5, 4.0, seed=0)  # below the rank floor
+    # below the rank floor; nan once failed later as non-finite entries, and
+    # inf after two numpy RuntimeWarnings
+    for ratio in (4.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="infeasible spectrum target"):
+            gen_conditioned(10, 5, ratio, seed=0)
     with pytest.raises(ValueError, match="need m >= n"):
         gen_conditioned(4, 6, 100.0, seed=0)
 

@@ -323,8 +323,8 @@ def test_grouped_trials_match_lone_runs(method, make_problem):
 
 @pytest.mark.parametrize("method", ("rrdr", "mrrdr", "rk", "rek", "rgs", "rp-admm"))
 def test_draw_block_size_never_touches_bits(method, monkeypatch):
-    # how many iterations a refill covers must not show in any trial: small
-    # blocks refill after lane exits (the row map of the lanes that stay),
+    # how many iterations a refill covers must not show in any trial: lane
+    # exits compact the drawn block, which small blocks refill often,
     # mixed r gathers each lane's draws from the flat block, and rek looks
     # up two samplers; rp-admm gathers its columns in chunks of the same size
     from rdr_lab import solvers

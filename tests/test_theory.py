@@ -76,6 +76,17 @@ def test_rate_formulas_reject_r_that_is_not_whole():
                 call()
 
 
+def test_beta_must_be_finite_and_nonnegative():
+    # enumerate_one_step once took any beta, and the others a nan
+    A, x = np.eye(2), np.array([1.0, 2.0])
+    for beta in (-0.5, math.nan, math.inf):
+        for call in (lambda: enumerate_one_step(A, x, x, x, 0.5, beta, 1),
+                     lambda: mean_map(A, 0.5, beta, 1),
+                     lambda: momentum_linear_region(ID2, 0.5, 1, beta)):
+            with pytest.raises(ValueError, match="beta must be >= 0"):
+                call()
+
+
 def test_delta_identity_values():
     assert delta2(ID2) == pytest.approx(0.0, abs=1e-12)
     assert delta2(ID4) == pytest.approx(0.5, abs=1e-12)
