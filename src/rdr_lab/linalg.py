@@ -186,6 +186,6 @@ def projected_solution(A, b, x0) -> np.ndarray:
     x_ls = vr @ coeffs
     bnorm = float(np.sqrt(b @ b))
     resid = mat.entries @ x_ls - b
-    if float(np.sqrt(resid @ resid)) > 1e-8 * bnorm:
+    if not float(np.sqrt(resid @ resid)) <= 1e-8 * bnorm:  # nan fails too
         raise ValueError("inconsistent system")
     return x_ls + x0 - vr @ (vr.T @ x0)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, projected_solution, reflect_row, svd_small
+from .linalg import Matrix, as_matrix, projected_solution, reflect_row, svd_small
 from .sampling import Rng, WeightedSampler, child_seed
 
 GEOMETRIC_RETRIES = 50
@@ -25,7 +25,7 @@ _SOLUTION_RETRIES = 10
 class Problem:
     """A consistent linear system ``A x = b`` with solver bookkeeping."""
 
-    A: Matrix
+    A: Matrix            # an array is checked and frozen as one (linalg.as_matrix)
     b: np.ndarray
     x_star: np.ndarray   # a planted solution (A @ x_star == b)
     x0: np.ndarray       # solver start point
@@ -34,6 +34,7 @@ class Problem:
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.A = as_matrix(self.A)
         m, n = self.A.shape
         self.b = np.asarray(self.b, dtype=np.float64)
         self.x_star = np.asarray(self.x_star, dtype=np.float64)
@@ -50,7 +51,7 @@ class Problem:
                 raise ValueError("invalid start point: |x0 - x0_star|^2 is not finite")
         scale = math.sqrt(self.A.frob_sq) * max(1.0, float(np.abs(self.x_star).max()))
         resid = self.A.entries @ self.x_star - self.b
-        if float(np.sqrt(resid @ resid)) > 1e-8 * max(scale, 1.0):
+        if not float(np.sqrt(resid @ resid)) <= 1e-8 * max(scale, 1.0):  # nan fails too
             raise ValueError("inconsistent system")
 
     @cached_property

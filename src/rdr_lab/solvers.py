@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,11 +21,6 @@ from .linalg import svd_small
 from .problems import Problem
 from .sampling import MASK64, Rng, _whole
 
-# the SolverConfig fields each method reads, in label order
-PARAMS = {"rrdr": ("r", "alpha"), "mrrdr": ("r", "alpha", "beta"), "rk": (),
-          "rek": (), "rgs": (), "cyclic-dr": ("alpha",),
-          "det-rsets-dr": ("alpha",), "rp-admm": ("penalty",)}
-METHODS = tuple(PARAMS)
 _TAGS = {"r": "r={}", "alpha": "a={:g}", "beta": "b={:g}", "penalty": "pen={:g}"}
 
 DIVERGENCE_RSE = 1e6
@@ -57,7 +53,7 @@ class StopRule:
 class SolverConfig:
     """Method selection plus every tunable the methods share.
 
-    A tunable its method does not read (see ``PARAMS``) is reset to its
+    A tunable its method does not read (see ``_METHODS``) is reset to its
     default once validated, so configs that run the same trials compare and
     hash equal."""
 
@@ -90,12 +86,12 @@ class SolverConfig:
         if _whole(self.trace_every) is None or self.trace_every < 0:
             raise ValueError("invalid parameter: trace_every must be a whole number >= 0")
         for f in fields(self):
-            if f.name in _TAGS and f.name not in PARAMS[self.method]:
+            if f.name in _TAGS and f.name not in _METHODS[self.method].reads:
                 object.__setattr__(self, f.name, f.default)
 
     def label(self) -> str:
         tags = [_TAGS[name].format(getattr(self, name))
-                for name in PARAMS[self.method]]
+                for name in _METHODS[self.method].reads]
         return f"{self.method}[{','.join(tags)}]" if tags else self.method
 
 
@@ -160,30 +156,27 @@ class _Lanes:
     blocks of the shape of ``x``; a lane exit compacts them with every other
     per-lane block, the drawn indices included."""
 
-    def __init__(self, problem: Problem, states, configs, rngs, size: int):
-        # a step function's one lane is a view of its state (or a contiguous
-        # copy, which _step stores back)
-        stack = (lambda rows: np.ascontiguousarray(rows[0])[None]) \
-            if len(states) == 1 else np.stack
-        self.k, self.cyclic_cursor = states[0].k, states[0].cyclic_cursor
+    def __init__(self, problem: Problem, start: SolverState, configs, rngs, size: int):
+        # every lane starts from its own copy of start's rows
+        count, method = len(configs), _METHODS[configs[0].method]
+        self.k, self.cyclic_cursor = start.k, start.cyclic_cursor
         for name in ("x", "z_aux", "mu", "residual"):
-            rows = [getattr(s, name) for s in states]
-            setattr(self, name, None if rows[0] is None else stack(rows))
+            row = getattr(start, name)
+            setattr(self, name, None if row is None else row[None].repeat(count, 0))
         # a lane without momentum never reads its previous iterate
-        self.x_prev = stack([s.x if s.x_prev is None else s.x_prev for s in states]) \
-            if any(c.beta for c in configs) else None
+        self.x_prev = (start.x if start.x_prev is None else start.x_prev)[None].repeat(
+            count, 0) if any(c.beta for c in configs) else None
         # a column of each parameter the method reads, but x's shape for the
         # averaging weights: a product with a column runs one loop per row
-        read, n = PARAMS[configs[0].method], problem.A.n
         for name in _TAGS:
-            col = np.array([[getattr(c, name)] for c in configs]) if name in read else None
+            col = np.array([[getattr(c, name)] for c in configs]) \
+                if name in method.reads else None
             setattr(self, name, col if col is None or name in ("r", "penalty")
-                    else np.repeat(col, n, 1))
+                    else col.repeat(problem.A.n, 1))
         self.stay = None if self.alpha is None else 1.0 - self.alpha
-        self.samplers = [getattr(problem, f"{name}_sampler")
-                         for name in _SAMPLERS.get(configs[0].method, ())]
+        self.samplers = [getattr(problem, f"{name}_sampler") for name in method.samplers]
         # a sampled method draws one index per row action
-        self.per = np.array([_per_iteration(c, problem) for c in configs])
+        self.per = np.array([method.per(c, problem.A) for c in configs])
         self.rngs = np.fromiter(rngs, object)  # an array, so ``take`` applies
         self.size, self.z_last, self.drawn = size, None, None
         self._derive()
@@ -202,6 +195,14 @@ class _Lanes:
         mom = 0 if self.beta is None else np.count_nonzero(self.beta[:, 0])
         self.mom = None if not mom else True if mom == len(self.beta) \
             else np.flatnonzero(self.beta[:, 0] == 0.0)
+
+    def state(self, i: int, row_actions: int) -> SolverState:
+        """Lane ``i`` as a SolverState of its own arrays, x_prev if it has momentum."""
+        arrays = {name: rows[i].copy() for name in _LANE_ARRAYS
+                  if (rows := getattr(self, name)) is not None
+                  and (name != "x_prev" or self.beta[i, 0])}
+        return SolverState(k=self.k, row_actions=row_actions,
+                           cyclic_cursor=self.cyclic_cursor, **arrays)
 
     def take(self, keep: np.ndarray):
         """Keep only the lanes ``keep``, an index array, in that order."""
@@ -351,37 +352,36 @@ def _rp_admm_update(lanes: _Lanes, problem: Problem, rngs):
     lanes.k += 1
 
 
-_UPDATES = {
-    "rrdr": lambda lanes, problem, drawn: _dr_update(
-        lanes, problem, [drawn[:c, j] for j, c in enumerate(lanes.prefix)]),
-    "rk": lambda lanes, problem, drawn: _project(lanes, problem, drawn[:, 0]),
-    "rek": _rek_update, "rgs": _rgs_update, "cyclic-dr": _cyclic_dr,
-    "det-rsets-dr": lambda lanes, problem, drawn: _dr_update(
-        lanes, problem, range(problem.A.m)),
-    "rp-admm": _rp_admm_update}
-_UPDATES["mrrdr"] = _UPDATES["rrdr"]
-# the samplers of one iteration's draws; rrdr and mrrdr draw r rows
-_SAMPLERS = {"rrdr": ("row",), "mrrdr": ("row",), "rk": ("row",),
-             "rgs": ("col",), "rek": ("col", "row")}
+def _r_sets(lanes: _Lanes, problem: Problem, drawn):
+    _dr_update(lanes, problem, [drawn[:c, j] for j, c in enumerate(lanes.prefix)])
 
 
-def _per_iteration(config: SolverConfig, problem: Problem) -> int:
-    """Row actions of one iteration of the config's method."""
-    return {"rrdr": config.r, "mrrdr": config.r, "rek": 2, "cyclic-dr": 2,
-            "det-rsets-dr": problem.A.m, "rp-admm": problem.A.n}.get(config.method, 1)
+# a method: the SolverConfig fields it reads, in label order; its update of
+# every lane, given the indices drawn; the samplers of one iteration's draws
+# (rrdr draws r rows); its row actions an iteration, from the config and A.
+# rrdr runs the mrrdr update at beta = 0
+_Method = namedtuple("_Method", "reads update samplers per")
+_METHODS = {
+    "rrdr": _Method(("r", "alpha"), _r_sets, ("row",), lambda c, A: c.r),
+    "mrrdr": _Method(("r", "alpha", "beta"), _r_sets, ("row",), lambda c, A: c.r),
+    "rk": _Method((), lambda lanes, problem, drawn: _project(lanes, problem, drawn[:, 0]),
+                  ("row",), lambda c, A: 1),
+    "rek": _Method((), _rek_update, ("col", "row"), lambda c, A: 2),
+    "rgs": _Method((), _rgs_update, ("col",), lambda c, A: 1),
+    "cyclic-dr": _Method(("alpha",), _cyclic_dr, (), lambda c, A: 2),
+    "det-rsets-dr": _Method(("alpha",), lambda lanes, problem, drawn: _dr_update(
+        lanes, problem, range(problem.A.m)), (), lambda c, A: A.m),
+    "rp-admm": _Method(("penalty",), _rp_admm_update, (), lambda c, A: A.n)}
+METHODS = tuple(_METHODS)
 
 
 def _step(state: SolverState, problem: Problem, config: SolverConfig,
           rng: Rng) -> SolverState:
     """One iteration of ``config.method`` on one trial's state, as ``run``
     makes it, with the indices drawn from ``rng`` one call at a time."""
-    lanes = _Lanes(problem, [state], [config], [rng], 0)
-    _UPDATES[config.method](lanes, problem, lanes.draw())
-    for name in _LANE_ARRAYS:
-        if getattr(lanes, name) is not None:
-            setattr(state, name, getattr(lanes, name)[0])
-    state.k, state.cyclic_cursor = lanes.k, lanes.cyclic_cursor
-    state.row_actions += _per_iteration(config, problem)
+    lanes = _Lanes(problem, state, [config], [rng], 0)
+    _METHODS[config.method].update(lanes, problem, lanes.draw())
+    vars(state).update(vars(lanes.state(0, state.row_actions + int(lanes.per[0]))))
     return state
 
 
@@ -445,21 +445,22 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     if not configs or any(c.method != configs[0].method for c in configs):
         raise ValueError("run takes one or more configs of one method")
     method = configs[0].method
-    if method in ("rrdr", "mrrdr") and any(c.r % 2 == 0 for c in configs) \
-            and svd_small(problem.A).rank < 2:
+    # a method that does not read r holds r = 1
+    if any(c.r % 2 == 0 for c in configs) and svd_small(problem.A).rank < 2:
         raise ValueError("even-r requires rank >= 2")
     if problem.A.zero_rows and method in ("cyclic-dr", "det-rsets-dr"):
         raise ValueError("degenerate hyperplane: zero row in cyclic sweep")
 
     order = sorted(range(len(configs)), key=lambda i: -configs[i].r)
     group = [configs[i] for i in order]
-    states = [init_state(problem, c) for c in group]
-    d = states[0].x - problem.x0_star
+    start = init_state(problem, group[0])
+    d = start.x - problem.x0_star
     den = float(d @ d)  # finite, as Problem checks
     rse0 = 1.0 if den > 0.0 else 0.0
-    # each config's trace, by its place in the call
-    records = {p: [_record(problem, metrics_fn, 0, 0, s.x, rse0)] for p, s in zip(order, states)}
-    lanes = _Lanes(problem, states, group, [Rng(c.seed) for c in group], DRAW_BLOCK)
+    # each config's trace, by its place in the call, from one k = 0 record
+    first = _record(problem, metrics_fn, 0, 0, start.x, rse0)
+    records = {p: [first] for p in order}
+    lanes = _Lanes(problem, start, group, [Rng(c.seed) for c in group], DRAW_BLOCK)
     # each lane's stop state: its config's place in the call; its RSE bound
     # (RSE is never negative, so no tolerance is a bound of 0); the first
     # iteration at which a budget is spent; and the row actions between its
@@ -470,7 +471,8 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     end = np.minimum(budget[:, 0], np.ceil(budget[:, 1] / lanes.per))
     every = np.array([c.trace_every or math.inf for c in group])
     trace = every.copy()
-    update, results, rse = _UPDATES[method], [None] * len(configs), np.full(len(group), rse0)
+    update = _METHODS[method].update
+    results, rse = [None] * len(configs), np.full(len(group), rse0)
     ended = dict.fromkeys(np.flatnonzero((rse0 < tol) | (den == 0.0)).tolist(), "converged")
     # the gate's x0_star, a row a lane, and its bound in squared units
     x0_star = np.tile(problem.x0_star, (len(group), 1))
@@ -480,11 +482,7 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
         # results of the lanes that ended, and a block of the others
         for i, status in ended.items():
             p, k, r = pos[i], lanes.k, float(rse[i])
-            arrays = {name: rows[i].copy() for name in _LANE_ARRAYS
-                      if (rows := getattr(lanes, name)) is not None
-                      and (name != "x_prev" or configs[p].beta)}
-            state = SolverState(k=k, row_actions=k * int(lanes.per[i]),
-                                cyclic_cursor=lanes.cyclic_cursor, **arrays)
+            state = lanes.state(i, k * int(lanes.per[i]))
             if records[p][-1].k != k:
                 records[p].append(_record(problem, metrics_fn, k, state.row_actions,
                                           state.x, r))

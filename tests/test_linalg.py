@@ -311,3 +311,9 @@ def test_projected_solution_inconsistent():
     arr = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="inconsistent system"):
         projected_solution(arr, np.array([1.0, 2.0]), np.zeros(2))
+
+
+def test_projected_solution_rejects_nan_b():
+    # a nan residual norm is not > tol, so this once returned [nan, nan]
+    with pytest.raises(ValueError, match="inconsistent system"):
+        projected_solution(np.eye(2), np.array([1.0, np.nan]), np.zeros(2))

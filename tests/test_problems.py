@@ -41,6 +41,24 @@ def test_problem_rejects_inconsistent_b():
                 x0=np.zeros(2), x0_star=np.zeros(2))
 
 
+@pytest.mark.parametrize("name", ["b", "x_star"])
+def test_problem_rejects_nan_in_b_or_x_star(name):
+    # a nan residual norm is not > tol, so this once passed, and rk then
+    # ended numerical-divergence at k = 1 with a nan RSE
+    vectors = {"b": np.ones(2), "x_star": np.ones(2), name: np.array([1.0, np.nan])}
+    with pytest.raises(ValueError, match="inconsistent system"):
+        Problem(A=Matrix(np.eye(2)), x0=np.zeros(2), x0_star=np.ones(2), **vectors)
+
+
+def test_problem_takes_an_array_as_its_matrix():
+    # as every other entry point does (linalg.as_matrix); an array once
+    # failed on A.frob_sq
+    problem = Problem(A=np.eye(2), b=np.ones(2), x_star=np.ones(2),
+                      x0=np.zeros(2), x0_star=np.ones(2))
+    assert isinstance(problem.A, Matrix)
+    np.testing.assert_array_equal(problem.A.entries, np.eye(2))
+
+
 def test_problem_rejects_start_error_that_overflows():
     # |x0 - x0_star|^2 = 1e310 once made every run end numerical-divergence
     # at k = 1, with nan RSE and RuntimeWarnings, though nothing diverged

@@ -226,6 +226,7 @@ def test_run_matches_public_step_replay(method):
     assert res.iterations == state.k == k
     assert res.row_actions == state.row_actions
     np.testing.assert_array_equal(res.x, state.x)
+    _assert_same_state(res.state, state)
 
 
 @pytest.mark.parametrize("method", ("rgs", "rek", "rp-admm"))
@@ -256,8 +257,13 @@ def _assert_same_trial(got, want):
     assert got.x.tobytes() == want.x.tobytes()
     assert np.float64(got.rse).tobytes() == np.float64(want.rse).tobytes()
     assert got.records == want.records
+    _assert_same_state(got.state, want.state)
+
+
+def _assert_same_state(got, want):
+    assert got.cyclic_cursor == want.cyclic_cursor
     for name in ("x_prev", "z_aux", "mu", "residual", "z_last"):
-        a, b = getattr(got.state, name), getattr(want.state, name)
+        a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         assert a is None or a.tobytes() == b.tobytes(), name
 
