@@ -175,6 +175,8 @@ def projected_solution(A, b, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=np.float64)
     if b.shape != (mat.m,) or x0.shape != (mat.n,):
         raise ValueError("invalid matrix: shape mismatch")
+    if not np.isfinite(x0).all():
+        raise ValueError("invalid start point: x0 is not finite")
     res = svd_small(mat)
     r = res.rank
     if r == 0:

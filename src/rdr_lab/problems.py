@@ -49,10 +49,17 @@ class Problem:
         with np.errstate(over="ignore", invalid="ignore"):
             if not math.isfinite(float((d := self.x0 - self.x0_star) @ d)):
                 raise ValueError("invalid start point: |x0 - x0_star|^2 is not finite")
-        scale = math.sqrt(self.A.frob_sq) * max(1.0, float(np.abs(self.x_star).max()))
-        resid = self.A.entries @ self.x_star - self.b
-        if not float(np.sqrt(resid @ resid)) <= 1e-8 * max(scale, 1.0):  # nan fails too
-            raise ValueError("inconsistent system")
+        for v, error in ((self.x_star, "inconsistent system"),
+                         (self.x0_star, "invalid start point: x0_star does not solve A x = b")):
+            scale = math.sqrt(self.A.frob_sq) * max(1.0, float(np.abs(v).max()))
+            resid = self.A.entries @ v - self.b
+            if not float(np.sqrt(resid @ resid)) <= 1e-8 * max(scale, 1.0):  # nan fails too
+                raise ValueError(error)
+        # x0_star is the projection of x0: d has no part in the null space of A
+        off = (svd := svd_small(self.A)).V[:, svd.rank:].T @ d
+        scale = max(1.0, float(np.abs(self.x0).max()), float(np.abs(self.x0_star).max()))
+        if not float(np.sqrt(off @ off)) <= 1e-8 * scale:
+            raise ValueError("invalid start point: x0_star - x0 is not in the row space of A")
 
     @cached_property
     def row_sampler(self) -> WeightedSampler:

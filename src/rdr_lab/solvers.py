@@ -163,9 +163,9 @@ class _Lanes:
         for name in ("x", "z_aux", "mu", "residual"):
             row = getattr(start, name)
             setattr(self, name, None if row is None else row[None].repeat(count, 0))
-        # a lane without momentum never reads its previous iterate
+        # a method with momentum carries the previous iterate, x at a cold start
         self.x_prev = (start.x if start.x_prev is None else start.x_prev)[None].repeat(
-            count, 0) if any(c.beta for c in configs) else None
+            count, 0) if "beta" in method.reads else None
         # a column of each parameter the method reads, but x's shape for the
         # averaging weights: a product with a column runs one loop per row
         for name in _TAGS:
@@ -190,17 +190,11 @@ class _Lanes:
         if self.r is not None:
             # prefix[j] = the number of lanes with r > j
             self.prefix = np.bincount(self.r[:, 0])[:0:-1].cumsum()[::-1].tolist()
-        # where the momentum term applies: every lane (True), no lane (None),
-        # or every lane but those of an index array, whose term is -0.0
-        mom = 0 if self.beta is None else np.count_nonzero(self.beta[:, 0])
-        self.mom = None if not mom else True if mom == len(self.beta) \
-            else np.flatnonzero(self.beta[:, 0] == 0.0)
 
     def state(self, i: int, row_actions: int) -> SolverState:
-        """Lane ``i`` as a SolverState of its own arrays, x_prev if it has momentum."""
+        """Lane ``i`` as a SolverState of its own arrays."""
         arrays = {name: rows[i].copy() for name in _LANE_ARRAYS
-                  if (rows := getattr(self, name)) is not None
-                  and (name != "x_prev" or self.beta[i, 0])}
+                  if (rows := getattr(self, name)) is not None}
         return SolverState(k=self.k, row_actions=row_actions,
                            cyclic_cursor=self.cyclic_cursor, **arrays)
 
@@ -271,14 +265,9 @@ def _dr_update(lanes: _Lanes, problem: Problem, rows):
             zj -= step
     out = x * lanes.stay
     out += z * lanes.alpha
-    if (m := lanes.mom) is not None:
+    if lanes.beta is not None:
         move = x - lanes.x_prev
         move *= lanes.beta
-        if m is not True:
-            # a lane with beta = 0 adds -0.0, which leaves every value as it
-            # is; adding its 0 * (x - x_prev) would turn -0.0 into +0.0 and
-            # inf into nan
-            move[m] = -0.0
         out += move
         lanes.x_prev = x
     lanes.x, lanes.z_last = out, z
@@ -394,7 +383,7 @@ def init_state(problem: Problem, config: SolverConfig) -> SolverState:
     """Per-method state setup from the problem's start point."""
     x = problem.x0.astype(np.float64).copy()
     state = SolverState(x=x)
-    if config.beta:
+    if "beta" in _METHODS[config.method].reads:
         state.x_prev = x.copy()  # cold start: previous iterate equals x0
     if config.method == "rek":
         state.z_aux = problem.b.astype(np.float64).copy()
@@ -409,18 +398,6 @@ def _record(problem: Problem, metrics_fn, k: int, row_actions: int, x, rse: floa
     resid = problem.A.entries @ x - problem.b
     return TraceRecord(k, row_actions, rse, float(np.sqrt(resid @ resid)),
                        *(() if metrics_fn is None else metrics_fn(x)))
-
-
-def _gate_bound(rse: float, den: float, side: float) -> float:
-    """The float s furthest toward ``side`` (inf or -inf) with s / den not past
-    ``rse``, if within four steps of rse * den, else -side.  Division by den > 0
-    rounds monotonically, so sq is not past s exactly when sq / den is not past rse."""
-    ok = (lambda s: s / den <= rse) if side > 0 else (lambda s: s / den >= rse)
-    s = rse * den
-    for _ in range(4):  # in until s passes, then out while the next float does
-        out = math.nextafter(s, side)
-        s = out if ok(out) else s if ok(s) else math.nextafter(s, -side)
-    return s if ok(s) else -side
 
 
 def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
@@ -474,10 +451,7 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     update = _METHODS[method].update
     results, rse = [None] * len(configs), np.full(len(group), rse0)
     ended = dict.fromkeys(np.flatnonzero((rse0 < tol) | (den == 0.0)).tolist(), "converged")
-    # the gate's x0_star, a row a lane, and its bound in squared units
-    x0_star = np.tile(problem.x0_star, (len(group), 1))
-    hi = _gate_bound(DIVERGENCE_RSE, den, math.inf) if den > 0.0 else -math.inf
-    tol_max = None
+    x0_star = np.tile(problem.x0_star, (len(group), 1))  # a row a lane
     while True:
         # results of the lanes that ended, and a block of the others
         for i, status in ended.items():
@@ -498,22 +472,18 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
             pos, tol, end, every, trace = (a[keep] for a in (pos, tol, end, every, trace))
             x0_star = x0_star[:len(keep)]
         # the first iteration at which each lane's budget is spent or its
-        # next record falls due; lo is set again only when the largest
-        # rse_tol changes: lanes only leave, so a stale lo is too high at
-        # worst, which costs false alarms and never a missed stop
+        # next record falls due, and the largest RSE bound of the lanes left
         due = np.minimum(end, np.ceil(trace / lanes.per))
-        if (top := tol.max()) != tol_max:
-            tol_max, lo = top, _gate_bound(top, den, -math.inf)
-        next_due, flagged, ended = due.min(), [], {}
+        next_due, top, flagged, ended = due.min(), tol.max(), [], {}
         while len(flagged) == 0:
             update(lanes, problem, lanes.draw())
             k, d = lanes.k, lanes.x - x0_star
-            sq = np.vecdot(d, d)
+            rse = np.vecdot(d, d)
+            rse /= den
             # unless these fail, no lane can end or need a record
-            if k < next_due and np.maximum.reduce(sq) <= hi \
-                    and np.minimum.reduce(sq) >= lo:
+            if k < next_due and np.maximum.reduce(rse) <= DIVERGENCE_RSE \
+                    and np.minimum.reduce(rse) >= top:
                 continue
-            rse = sq / den
             flagged = np.flatnonzero(~(rse <= DIVERGENCE_RSE) | (rse < tol) | (due <= k))
         for i in flagged:
             r = float(rse[i])

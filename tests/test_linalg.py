@@ -317,3 +317,11 @@ def test_projected_solution_rejects_nan_b():
     # a nan residual norm is not > tol, so this once returned [nan, nan]
     with pytest.raises(ValueError, match="inconsistent system"):
         projected_solution(np.eye(2), np.array([1.0, np.nan]), np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projected_solution_rejects_a_non_finite_start(bad):
+    # a nan start once returned [nan, nan], and an inf one raised a
+    # RuntimeWarning from inf - inf
+    with pytest.raises(ValueError, match="invalid start point"):
+        projected_solution(np.eye(2), np.ones(2), np.array([bad, 0.0]))

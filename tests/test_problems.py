@@ -74,6 +74,25 @@ def test_problem_rejects_start_error_that_overflows():
     Problem(A=A, b=x0_star, x_star=x0_star, x0=np.zeros(2), x0_star=x0_star)
 
 
+def test_problem_rejects_x0_star_off_the_solution_set():
+    # every RSE is measured from x0_star: this one was accepted, and rk then
+    # ended budget-exhausted at rse 0.64 on the solution x = [1, 1]
+    with pytest.raises(ValueError, match="invalid start point: x0_star does not solve"):
+        Problem(A=np.eye(2), b=np.ones(2), x_star=np.ones(2), x0=np.zeros(2),
+                x0_star=np.array([5.0, 5.0]))
+
+
+def test_problem_rejects_x0_star_that_is_not_the_projection_of_x0():
+    # (1, 3) solves x_1 = 1 but is not the point nearest 0: rk once ended at
+    # rse 0.9 there; the nearest point (1, 0) is accepted
+    A, b = np.array([[1.0, 0.0]]), np.ones(1)
+    with pytest.raises(ValueError, match="x0_star - x0 is not in the row space"):
+        Problem(A=A, b=b, x_star=np.array([1.0, 3.0]), x0=np.zeros(2),
+                x0_star=np.array([1.0, 3.0]))
+    Problem(A=A, b=b, x_star=np.array([1.0, 3.0]), x0=np.zeros(2),
+            x0_star=np.array([1.0, 0.0]))
+
+
 def test_problem_consistency_invariant():
     for seed in (0, 1, 2):
         p = synthetic_problem(30, 12, seed)

@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from rdr_lab.linalg import Matrix, projected_solution
 from rdr_lab.problems import (
@@ -32,7 +31,6 @@ from rdr_lab.solvers import (
     rp_admm_step,
     rrdr_step,
     run,
-    _gate_bound,
 )
 
 
@@ -193,6 +191,25 @@ def test_rk_equals_r1_half_relaxation():
     assert res_rk.row_actions == res_dr.row_actions
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_method_identities(seed):
+    # rrdr is mrrdr at beta = 0, bit for bit; rk is rrdr at r = 1 and
+    # alpha = 1/2 up to rounding, as averaging x with its reflection at 1/2
+    # is the Kaczmarz projection, and both draw one row an iteration.  The
+    # two formulas round apart by a few ulps (1 to 1.5 eps on these seeds)
+    problem = synthetic_problem(200, 50, seed=seed)
+    stop = StopRule(rse_tol=1e-12, max_iterations=20_000)
+    kwargs = dict(r=2, alpha=0.6, seed=seed, stop=stop, trace_every=500)
+    (dr,) = run(problem, SolverConfig(method="rrdr", **kwargs))
+    (mom,) = run(problem, SolverConfig(method="mrrdr", beta=0.0, **kwargs))
+    assert (dr.status, dr.iterations, dr.records) == (mom.status, mom.iterations, mom.records)
+    assert dr.x.tobytes() == mom.x.tobytes()
+    (rk,) = run(problem, SolverConfig(method="rk", seed=seed, stop=stop))
+    (dr,) = run(problem, SolverConfig(method="rrdr", r=1, alpha=0.5, seed=seed, stop=stop))
+    assert rk.status == dr.status == "converged" and rk.iterations == dr.iterations
+    assert np.abs(rk.x - dr.x).max() <= 4 * np.finfo(np.float64).eps
+
+
 def test_momentum_beta_zero_bitwise_reduction():
     problem = synthetic_problem(15, 6, seed=23)
     kwargs = dict(r=2, alpha=0.6, seed=11,
@@ -345,10 +362,10 @@ def test_draw_block_size_never_touches_bits(method, monkeypatch):
 
 
 def test_mixed_momentum_block_keeps_signed_zero():
-    # a lane with beta = 0 in a block with momentum lanes keeps its bytes:
-    # adding its 0 * (x - x_prev) would turn its -0.0 into +0.0.
+    # a lane of a block with and without momentum keeps its lone bytes.
     # Column 1 is zero and x0[1] = -0.0; x[0] stays above the solution, so
-    # every reflection subtracts +0.0 there and a lone beta = 0 run keeps -0.0
+    # every reflection subtracts +0.0 there and rrdr keeps -0.0, while mrrdr
+    # adds beta * (x - x_prev) at every beta, which turns -0.0 into +0.0
     A = Matrix([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
     x_star = np.array([1.0, 0.0])
     problem = Problem(A=A, b=A.entries @ x_star, x_star=x_star,
@@ -361,29 +378,10 @@ def test_mixed_momentum_block_keeps_signed_zero():
     for cfg, res in zip(configs, runs):
         (alone,) = run(problem, cfg)
         _assert_same_trial(res, alone)
-        assert np.signbit(res.x[1]) == (cfg.beta == 0.0)
-
-
-_MAX = 1.7976931348623157e308
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=5e-324, max_value=_MAX), st.floats(min_value=5e-324, max_value=1e300))
-@example(5e-324, 5e-324)
-@example(_MAX, 1e-12)
-@example(_MAX, 5e-324)
-@example(1e-310, 1e-12)
-def test_gate_bounds_keep_the_order_of_division(den, tol):
-    # run's gate compares squared distances with these bounds in place of
-    # RSEs with DIVERGENCE_RSE and the largest rse_tol: whatever passes must
-    # pass the division, and where the quotients are normal nothing more fails
-    hi, lo = _gate_bound(DIVERGENCE_RSE, den, math.inf), _gate_bound(tol, den, -math.inf)
-    assert hi == -math.inf or hi / den <= DIVERGENCE_RSE
-    assert lo == math.inf or lo / den >= tol
-    if 1e-290 < den < 1e290:
-        assert math.nextafter(hi, math.inf) / den > DIVERGENCE_RSE
-    if 1e-300 < tol < 1e6 and 1e-300 < tol * den < 1e300:
-        assert math.nextafter(lo, -math.inf) / den < tol
+        assert not np.signbit(res.x[1])
+    (res,) = run(problem, SolverConfig(method="rrdr", r=1, alpha=0.1, seed=2,
+                                       stop=StopRule(rse_tol=1e-12, max_iterations=40)))
+    assert np.signbit(res.x[1])
 
 
 @pytest.mark.parametrize("below", (0, 1))
