@@ -150,8 +150,6 @@ def svd_small(A) -> SvdResult:
 def spectral_scalars(A) -> SpectralScalars:
     """Extract (sigma_min, sigma_max, frob_sq, rank) via ``svd_small``."""
     mat = as_matrix(A)
-    if mat.frob_sq == 0.0:
-        raise ValueError("zero matrix")
     res = svd_small(mat)
     if res.rank == 0:
         raise ValueError("zero matrix")
@@ -167,8 +165,10 @@ def projected_solution(A, b, x0) -> np.ndarray:
     """Projection of ``x0`` onto the solution set of a consistent system.
 
     Computes ``pinv(A) @ b + (I - pinv(A) @ A) @ x0``, the point the
-    row-action solvers converge to from ``x0``.  Raises if the least-squares
-    residual shows the system is inconsistent.
+    row-action solvers converge to from ``x0`` and the ``x0_star`` that
+    :class:`~rdr_lab.problems.Problem` checks.  Raises if the least-squares
+    residual shows the system is inconsistent.  On a zero matrix this is
+    ``x0`` itself when ``b = 0`` and ``inconsistent system`` otherwise.
     """
     mat = as_matrix(A)
     b = np.asarray(b, dtype=np.float64)
@@ -179,10 +179,6 @@ def projected_solution(A, b, x0) -> np.ndarray:
         raise ValueError("invalid start point: x0 is not finite")
     res = svd_small(mat)
     r = res.rank
-    if r == 0:
-        if np.any(b != 0.0):
-            raise ValueError("inconsistent system")
-        return x0.copy()
     vr = res.V[:, :r]
     coeffs = (res.U[:, :r].T @ b) / res.singular_values[:r]
     x_ls = vr @ coeffs

@@ -14,11 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix, projected_solution, reflect_row, svd_small
-from .sampling import Rng, WeightedSampler, child_seed
+from .linalg import Matrix, as_matrix, projected_solution, svd_small
+from .sampling import Rng, WeightedSampler, _whole, child_seed
 
 GEOMETRIC_RETRIES = 50
-_SOLUTION_RETRIES = 10
 
 
 @dataclass(eq=False)
@@ -29,7 +28,7 @@ class Problem:
     b: np.ndarray
     x_star: np.ndarray   # a planted solution (A @ x_star == b)
     x0: np.ndarray       # solver start point
-    x0_star: np.ndarray  # projection of x0 onto the solution set
+    x0_star: np.ndarray  # projection of x0 onto the solution set (projected_solution)
     label: str = "problem"
     info: dict = field(default_factory=dict)
 
@@ -49,17 +48,15 @@ class Problem:
         with np.errstate(over="ignore", invalid="ignore"):
             if not math.isfinite(float((d := self.x0 - self.x0_star) @ d)):
                 raise ValueError("invalid start point: |x0 - x0_star|^2 is not finite")
-        for v, error in ((self.x_star, "inconsistent system"),
-                         (self.x0_star, "invalid start point: x0_star does not solve A x = b")):
-            scale = math.sqrt(self.A.frob_sq) * max(1.0, float(np.abs(v).max()))
-            resid = self.A.entries @ v - self.b
-            if not float(np.sqrt(resid @ resid)) <= 1e-8 * max(scale, 1.0):  # nan fails too
-                raise ValueError(error)
-        # x0_star is the projection of x0: d has no part in the null space of A
-        off = (svd := svd_small(self.A)).V[:, svd.rank:].T @ d
+        scale = math.sqrt(self.A.frob_sq) * max(1.0, float(np.abs(self.x_star).max()))
+        resid = self.A.entries @ self.x_star - self.b
+        if not float(np.sqrt(resid @ resid)) <= 1e-8 * max(scale, 1.0):  # nan fails too
+            raise ValueError("inconsistent system")
+        # every RSE is measured from x0_star, so it must be where the solvers go
+        off = projected_solution(self.A, self.b, self.x0) - self.x0_star
         scale = max(1.0, float(np.abs(self.x0).max()), float(np.abs(self.x0_star).max()))
         if not float(np.sqrt(off @ off)) <= 1e-8 * scale:
-            raise ValueError("invalid start point: x0_star - x0 is not in the row space of A")
+            raise ValueError("invalid start point: x0_star is not the projection of x0")
 
     @cached_property
     def row_sampler(self) -> WeightedSampler:
@@ -80,29 +77,33 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 
+def _sizes(*sizes) -> tuple:
+    """``sizes`` as ints; each must be a whole number >= 1 (20.0 is 20)."""
+    whole = tuple(_whole(size) for size in sizes)
+    if any(size is None or size < 1 for size in whole):
+        raise ValueError("invalid matrix: dimensions must be positive whole numbers")
+    return whole
+
+
 def gen_gaussian(m: int, n: int, seed: int) -> Matrix:
     """Matrix with i.i.d. standard normal entries."""
-    if m < 1 or n < 1:
-        raise ValueError("invalid matrix: dimensions must be positive")
-    return Matrix(Rng(seed).normal((m, n)))
+    return Matrix(Rng(seed).normal(_sizes(m, n)))
 
 
 def gen_solution(A: Matrix, seed: int):
     """Planted unit-norm row-space solution and its right-hand side.
 
     ``x_star = A.T w / ||A.T w||`` for Gaussian ``w``, so the start point 0
-    converges to ``x_star`` itself; ``b = A x_star``.
+    converges to ``x_star`` itself; ``b = A x_star``.  ``A.T w`` is zero for
+    every ``w`` only if ``A`` is zero, so one draw is enough.
     """
-    rng = Rng(seed)
     arr = A.entries
-    for _ in range(_SOLUTION_RETRIES):
-        w = rng.normal(A.m)
-        y = arr.T @ w
-        nrm_sq = float(y @ y)
-        if nrm_sq > 0.0:
-            x_star = y / math.sqrt(nrm_sq)
-            return x_star, arr @ x_star
-    raise ValueError("degenerate matrix")
+    y = arr.T @ Rng(seed).normal(A.m)
+    nrm_sq = float(y @ y)
+    if not nrm_sq > 0.0:
+        raise ValueError("degenerate matrix")
+    x_star = y / math.sqrt(nrm_sq)
+    return x_star, arr @ x_star
 
 
 def gen_conditioned(m: int, n: int, target_ratio: float, seed: int) -> Matrix:
@@ -146,16 +147,20 @@ def _planted(A: Matrix, seed: int, label: str) -> Problem:
                    x0_star=projected_solution(A, b, x0), label=label)
 
 
-def synthetic_problem(m: int, n: int, seed: int, label: str = "gaussian") -> Problem:
-    """Gaussian system with planted row-space solution, started at zero."""
-    return _planted(gen_gaussian(m, n, seed), child_seed(seed, 1),
-                    f"{label}-{m}x{n}")
+def synthetic_problem(m: int, n: int, seed: int) -> Problem:
+    """Gaussian system with planted row-space solution, started at zero.
+
+    Its label is ``gaussian-{m}x{n}``.
+    """
+    A = gen_gaussian(m, n, seed)
+    return _planted(A, child_seed(seed, 1), f"gaussian-{A.m}x{A.n}")
 
 
 def conditioned_problem(m: int, n: int, target_ratio: float, seed: int) -> Problem:
     """Spectrum-shaped Gaussian system, started at zero."""
-    return _planted(gen_conditioned(m, n, target_ratio, seed), child_seed(seed, 1),
-                    f"conditioned-{m}x{n}-r{target_ratio:g}")
+    A = gen_conditioned(m, n, target_ratio, seed)
+    return _planted(A, child_seed(seed, 1),
+                    f"conditioned-{A.m}x{A.n}-r{target_ratio:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +363,9 @@ def build_graph(spec: GraphSpec):
     Returns ``(edges, attempts)``.  Geometric graphs are resampled with fresh
     child seeds until connected, up to ``GEOMETRIC_RETRIES`` times.
     """
-    n = spec.n
-    if n < 2:
-        raise ValueError("invalid matrix: graph needs n >= 2")
+    n = _whole(spec.n)
+    if n is None or n < 2:
+        raise ValueError("invalid matrix: graph needs n >= 2, a whole number")
     if spec.topology == "line":
         return [(i, i + 1) for i in range(n - 1)], 1
     if spec.topology == "cycle":
@@ -392,15 +397,15 @@ def gen_ac_problem(spec: GraphSpec, c) -> Problem:
     if c.shape != (spec.n,):
         raise ValueError("invalid matrix: c has wrong length")
     edges, attempts = build_graph(spec)
-    arr = np.zeros((len(edges), spec.n))
+    arr = np.zeros((len(edges), c.size))
     for k, (u, v) in enumerate(edges):
         arr[k, u] = 1.0
         arr[k, v] = -1.0
     A = Matrix(arr)
-    target = np.full(spec.n, float(c.mean()))
+    target = np.full(c.size, float(c.mean()))
     return Problem(
         A=A, b=np.zeros(len(edges)), x_star=target, x0=c.copy(), x0_star=target,
-        label=f"ac-{spec.topology}-{spec.n}",
+        label=f"ac-{spec.topology}-{c.size}",
         info={"edges": len(edges), "attempts": attempts},
     )
 
@@ -423,38 +428,29 @@ def three_lines_failure_problem() -> Problem:
         [0.5, -s3 / 2.0],
         [0.5, s3 / 2.0],
     ])
-    x0 = np.array([-1.3, -1.3 / s3])
-    problem = Problem(
-        A=Matrix(arr), b=np.zeros(3), x_star=np.zeros(2), x0=x0,
-        x0_star=np.zeros(2), label="three-lines",
+    return Problem(
+        A=Matrix(arr), b=np.zeros(3), x_star=np.zeros(2),
+        x0=np.array([-1.3, -1.3 / s3]), x0_star=np.zeros(2), label="three-lines",
     )
-    # the construction only works if x0 really is a fixed point of the
-    # composed reflections; verify numerically rather than trusting algebra
-    z = x0
-    for a in arr:
-        z = reflect_row(z, a, 0.0)
-    if float(np.abs(z - x0).max()) > 1e-10:
-        raise ValueError("degenerate matrix: cycling start point lost")
-    return problem
 
 
-def gen_direction_adversarial(seed: int, n: int = 500, diag: float = 100.0,
-                              shift: float = 0.01) -> Problem:
+def gen_direction_adversarial(seed: int, n: int = 500) -> Problem:
     """Near-singular square system with one tiny, isolated singular value.
 
-    ``A = diag + noise`` with the last row replaced by a small perturbation
-    of the second-to-last (``shift`` added to every entry), then all rows
+    ``A = 100 I + noise`` with the last row replaced by a small perturbation
+    of the second-to-last (0.01 added to every entry), then all rows
     normalized.  The bulk of the spectrum stays O(1) while one direction
-    becomes nearly flat, which makes error traces stall along it.
+    becomes nearly flat, which makes error traces stall along it.  The
+    system is square and full rank, so ``x0_star`` is ``x_star`` itself.
     """
+    (n,) = _sizes(n)
     rng = Rng(seed)
-    arr = rng.normal((n, n)) + diag * np.eye(n)
-    arr[n - 1] = arr[n - 2] + shift
+    arr = rng.normal((n, n)) + 100.0 * np.eye(n)
+    arr[n - 1] = arr[n - 2] + 0.01
     norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
     arr = arr / norms[:, None]
     A = Matrix(arr)
     x_star = rng.normal(n)
     b = arr @ x_star
-    # square full-rank system: the projection of any start point is x_star
     return Problem(A=A, b=b, x_star=x_star, x0=np.zeros(n), x0_star=x_star.copy(),
                    label=f"adversarial-{n}")

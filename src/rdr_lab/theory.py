@@ -73,8 +73,9 @@ def delta1(spec: SpectralScalars, r: int) -> float:
 
 
 def delta2(spec: SpectralScalars) -> float:
-    """Largest ``|1 - 2 sigma_i^2 / frob_sq|`` over nonzero singular values."""
-    return max(abs(_q_min(spec)), abs(_q_max(spec)))
+    """Largest ``|1 - 2 sigma_i^2 / frob_sq|`` over nonzero singular values,
+    clamped at its bound 1, which rounding passes on a nearly rank-one spectrum."""
+    return min(1.0, max(abs(_q_min(spec)), abs(_q_max(spec))))
 
 
 def rate_thm2(spec: SpectralScalars, alpha: float, r: int) -> float:
@@ -137,11 +138,8 @@ def momentum_accel_region(spec: SpectralScalars, alpha: float, r: int):
     _check_alpha(alpha)
     denom = 1.0 - _q_max(spec) ** r
     alpha_max = 1.0 if denom <= 0.0 else min(1.0, 1.0 / denom)
-    d1 = delta1(spec, r)
-    inner = alpha * (1.0 - d1 ** r)
-    if inner < 0.0:
-        raise ValueError("invalid parameter: spectrum admits no acceleration window")
-    beta_lo = (1.0 - math.sqrt(inner)) ** 2
+    # delta1 <= 1 (delta2 is clamped at 1), so the root is real
+    beta_lo = (1.0 - math.sqrt(alpha * (1.0 - delta1(spec, r) ** r))) ** 2
     return alpha_max, beta_lo
 
 

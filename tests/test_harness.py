@@ -390,6 +390,21 @@ def test_run_experiment_identity_rk_budget(tmp_path):
         assert res.row_actions <= 80
 
 
+def test_run_experiment_reports_rates_on_a_nearly_rank_one_matrix(tmp_path):
+    # delta2 once rounded above 1 here, so the r = 2 rate report raised, and
+    # the meta lost the rates of every config, r = 1 too
+    mtx = tmp_path / "near.mtx"
+    write_matrix_market(mtx, np.array([[1.0, 2.0], [2.0, 4.00000001]]))
+    spec = ExperimentSpec(
+        problem=ProblemSpec(source="mtx", path=str(mtx)),
+        configs=[SolverConfig(method="rrdr", r=r, stop=StopRule(max_row_actions=20))
+                 for r in (1, 2)],
+        trials=1, seed=0, out_dir=str(tmp_path), label="near")
+    meta = run_experiment(spec, out_dir=tmp_path).meta_path.read_text()
+    for config in spec.configs:
+        assert f"rates.{config.label()}.rate_thm1 = " in meta
+
+
 def test_run_experiment_failure_contrast(tmp_path):
     spec = ExperimentSpec(
         problem=ProblemSpec(source="three-lines"),

@@ -319,6 +319,15 @@ def test_projected_solution_rejects_nan_b():
         projected_solution(np.eye(2), np.array([1.0, np.nan]), np.zeros(2))
 
 
+def test_projected_solution_on_a_zero_matrix():
+    # rank 0: the solution set is everything when b = 0, and empty otherwise
+    x0 = np.array([3.0, -1.5])
+    out = projected_solution(np.zeros((3, 2)), np.zeros(3), x0)
+    np.testing.assert_array_equal(out, x0)
+    with pytest.raises(ValueError, match="inconsistent system"):
+        projected_solution(np.zeros((3, 2)), np.array([0.0, 1.0, 0.0]), x0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_projected_solution_rejects_a_non_finite_start(bad):
     # a nan start once returned [nan, nan], and an inf one raised a

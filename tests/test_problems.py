@@ -77,7 +77,7 @@ def test_problem_rejects_start_error_that_overflows():
 def test_problem_rejects_x0_star_off_the_solution_set():
     # every RSE is measured from x0_star: this one was accepted, and rk then
     # ended budget-exhausted at rse 0.64 on the solution x = [1, 1]
-    with pytest.raises(ValueError, match="invalid start point: x0_star does not solve"):
+    with pytest.raises(ValueError, match="invalid start point: x0_star is not the projection of x0"):
         Problem(A=np.eye(2), b=np.ones(2), x_star=np.ones(2), x0=np.zeros(2),
                 x0_star=np.array([5.0, 5.0]))
 
@@ -86,7 +86,7 @@ def test_problem_rejects_x0_star_that_is_not_the_projection_of_x0():
     # (1, 3) solves x_1 = 1 but is not the point nearest 0: rk once ended at
     # rse 0.9 there; the nearest point (1, 0) is accepted
     A, b = np.array([[1.0, 0.0]]), np.ones(1)
-    with pytest.raises(ValueError, match="x0_star - x0 is not in the row space"):
+    with pytest.raises(ValueError, match="invalid start point: x0_star is not the projection of x0"):
         Problem(A=A, b=b, x_star=np.array([1.0, 3.0]), x0=np.zeros(2),
                 x0_star=np.array([1.0, 3.0]))
     Problem(A=A, b=b, x_star=np.array([1.0, 3.0]), x0=np.zeros(2),
@@ -402,6 +402,29 @@ def test_geometric_small_radius_disconnects():
         build_graph(GraphSpec("geometric", 50, radius=math.log(50) / 50, seed=0))
 
 
+def _fingerprint(made):
+    if isinstance(made, Problem):
+        return made.label, made.A.entries.tobytes(), made.b.tobytes(), made.x0_star.tobytes()
+    if isinstance(made, Matrix):
+        return made.entries.tobytes()
+    return made
+
+
+@pytest.mark.parametrize("make, size", [
+    (lambda k: synthetic_problem(k, 8, 1), 20),
+    (lambda k: gen_conditioned(k, 10, 20.0, 1), 30),
+    (lambda k: gen_direction_adversarial(3, n=k), 40),
+    (lambda k: gen_ac_problem(GraphSpec("line", k), np.arange(5.0)), 5),
+    (lambda k: build_graph(GraphSpec("geometric", k)), 6),
+], ids=["synthetic", "conditioned", "adversarial", "ac", "graph"])
+def test_generators_take_whole_number_float_sizes(make, size):
+    # each float size once raised TypeError: 'float' object cannot be
+    # interpreted as an integer
+    assert _fingerprint(make(float(size))) == _fingerprint(make(size))
+    with pytest.raises(ValueError, match="invalid matrix"):
+        make(size + 0.5)
+
+
 def test_graph_rejects_bad_spec():
     with pytest.raises(ValueError, match="unknown topology"):
         build_graph(GraphSpec("star", 5))
@@ -429,6 +452,7 @@ def test_three_lines_fixed_point():
         x = reflect_row(x, p.A.entries[i], 0.0)
     half = 0.5 * (p.x0 + x)
     assert np.linalg.norm(half - p.x0) <= 1e-10
+    assert np.abs(x - p.x0).max() <= 1e-10
     assert np.linalg.norm(p.x0) > 1.0  # genuinely away from the solution
 
 

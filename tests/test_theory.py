@@ -449,3 +449,11 @@ def test_rate_report_fields_consistent():
     alpha_max, beta_lo = momentum_accel_region(spec, 0.5, 2)
     assert rep.alpha_max_accel == pytest.approx(alpha_max, abs=1e-14)
     assert rep.beta_lo_accel == pytest.approx(beta_lo, abs=1e-14)
+
+
+def test_delta2_is_at_most_one_on_a_nearly_rank_one_matrix():
+    # rank 2, but rounding once put delta2 at 1 + 4.4e-16, and the even-r
+    # acceleration window then raised "spectrum admits no acceleration window"
+    spec = spectral_scalars(np.array([[1.0, 2.0], [2.0, 4.00000001]]))
+    assert spec.rank == 2
+    assert rate_report(spec, 0.5, 0.4, 2).delta2 == 1.0
