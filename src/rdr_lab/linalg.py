@@ -165,10 +165,11 @@ def projected_solution(A, b, x0) -> np.ndarray:
     """Projection of ``x0`` onto the solution set of a consistent system.
 
     Computes ``pinv(A) @ b + (I - pinv(A) @ A) @ x0``, the point the
-    row-action solvers converge to from ``x0`` and the ``x0_star`` that
-    :class:`~rdr_lab.problems.Problem` checks.  Raises if the least-squares
-    residual shows the system is inconsistent.  On a zero matrix this is
-    ``x0`` itself when ``b = 0`` and ``inconsistent system`` otherwise.
+    row-action solvers converge to from ``x0`` and the ``x0_star`` the
+    planted sources give :class:`~rdr_lab.problems.Problem`.  Raises if the
+    least-squares residual shows the system is inconsistent.  On a zero
+    matrix this is ``x0`` itself when ``b = 0`` and ``inconsistent system``
+    otherwise.
     """
     mat = as_matrix(A)
     b = np.asarray(b, dtype=np.float64)

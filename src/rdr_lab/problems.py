@@ -28,7 +28,7 @@ class Problem:
     b: np.ndarray
     x_star: np.ndarray   # a planted solution (A @ x_star == b)
     x0: np.ndarray       # solver start point
-    x0_star: np.ndarray  # projection of x0 onto the solution set (projected_solution)
+    x0_star: np.ndarray  # projection of x0 onto the solution set
     label: str = "problem"
     info: dict = field(default_factory=dict)
 
@@ -48,15 +48,18 @@ class Problem:
         with np.errstate(over="ignore", invalid="ignore"):
             if not math.isfinite(float((d := self.x0 - self.x0_star) @ d)):
                 raise ValueError("invalid start point: |x0 - x0_star|^2 is not finite")
-        scale = math.sqrt(self.A.frob_sq) * max(1.0, float(np.abs(self.x_star).max()))
-        resid = self.A.entries @ self.x_star - self.b
-        if not float(np.sqrt(resid @ resid)) <= 1e-8 * max(scale, 1.0):  # nan fails too
-            raise ValueError("inconsistent system")
-        # every RSE is measured from x0_star, so it must be where the solvers go
-        off = projected_solution(self.A, self.b, self.x0) - self.x0_star
+        for v, error in ((self.x_star, "inconsistent system"),
+                         (self.x0_star, "invalid start point: x0_star does not solve A x = b")):
+            scale = math.sqrt(self.A.frob_sq) * max(1.0, float(np.abs(v).max()))
+            resid = self.A.entries @ v - self.b
+            if not float(np.sqrt(resid @ resid)) <= 1e-8 * max(scale, 1.0):  # nan fails too
+                raise ValueError(error)
+        # x0_star is the projection of x0: d has no part in the null space of A
+        # (unlike a recomputed projected_solution, these tests hold at any cond(A))
+        off = (svd := svd_small(self.A)).V[:, svd.rank:].T @ d
         scale = max(1.0, float(np.abs(self.x0).max()), float(np.abs(self.x0_star).max()))
         if not float(np.sqrt(off @ off)) <= 1e-8 * scale:
-            raise ValueError("invalid start point: x0_star is not the projection of x0")
+            raise ValueError("invalid start point: x0_star - x0 is not in the row space of A")
 
     @cached_property
     def row_sampler(self) -> WeightedSampler:
@@ -357,15 +360,21 @@ def _geometric_edges(n: int, radius: float, rng: Rng):
     return edges
 
 
+def _graph_size(spec: GraphSpec) -> int:
+    """``spec.n`` as an int; it must be a whole number >= 2 (6.0 is 6)."""
+    n = _whole(spec.n)
+    if n is None or n < 2:
+        raise ValueError("invalid matrix: graph needs n >= 2, a whole number")
+    return n
+
+
 def build_graph(spec: GraphSpec):
     """Edge list for the requested topology; geometric graphs retry seeds.
 
     Returns ``(edges, attempts)``.  Geometric graphs are resampled with fresh
     child seeds until connected, up to ``GEOMETRIC_RETRIES`` times.
     """
-    n = _whole(spec.n)
-    if n is None or n < 2:
-        raise ValueError("invalid matrix: graph needs n >= 2, a whole number")
+    n = _graph_size(spec)
     if spec.topology == "line":
         return [(i, i + 1) for i in range(n - 1)], 1
     if spec.topology == "cycle":
@@ -393,19 +402,20 @@ def gen_ac_problem(spec: GraphSpec, c) -> Problem:
     On a connected graph the solution set is the span of the all-ones vector,
     so the projection of the start vector ``c`` is ``mean(c) * ones``.
     """
+    n = _graph_size(spec)
     c = np.asarray(c, dtype=np.float64)
-    if c.shape != (spec.n,):
+    if c.shape != (n,):
         raise ValueError("invalid matrix: c has wrong length")
     edges, attempts = build_graph(spec)
-    arr = np.zeros((len(edges), c.size))
+    arr = np.zeros((len(edges), n))
     for k, (u, v) in enumerate(edges):
         arr[k, u] = 1.0
         arr[k, v] = -1.0
     A = Matrix(arr)
-    target = np.full(c.size, float(c.mean()))
+    target = np.full(n, float(c.mean()))
     return Problem(
         A=A, b=np.zeros(len(edges)), x_star=target, x0=c.copy(), x0_star=target,
-        label=f"ac-{spec.topology}-{c.size}",
+        label=f"ac-{spec.topology}-{n}",
         info={"edges": len(edges), "attempts": attempts},
     )
 

@@ -77,7 +77,7 @@ def test_problem_rejects_start_error_that_overflows():
 def test_problem_rejects_x0_star_off_the_solution_set():
     # every RSE is measured from x0_star: this one was accepted, and rk then
     # ended budget-exhausted at rse 0.64 on the solution x = [1, 1]
-    with pytest.raises(ValueError, match="invalid start point: x0_star is not the projection of x0"):
+    with pytest.raises(ValueError, match="invalid start point: x0_star does not solve"):
         Problem(A=np.eye(2), b=np.ones(2), x_star=np.ones(2), x0=np.zeros(2),
                 x0_star=np.array([5.0, 5.0]))
 
@@ -86,11 +86,20 @@ def test_problem_rejects_x0_star_that_is_not_the_projection_of_x0():
     # (1, 3) solves x_1 = 1 but is not the point nearest 0: rk once ended at
     # rse 0.9 there; the nearest point (1, 0) is accepted
     A, b = np.array([[1.0, 0.0]]), np.ones(1)
-    with pytest.raises(ValueError, match="invalid start point: x0_star is not the projection of x0"):
+    with pytest.raises(ValueError, match="x0_star - x0 is not in the row space"):
         Problem(A=A, b=b, x_star=np.array([1.0, 3.0]), x0=np.zeros(2),
                 x0_star=np.array([1.0, 3.0]))
     Problem(A=A, b=b, x_star=np.array([1.0, 3.0]), x0=np.zeros(2),
             x0_star=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("e", [1e-8, 1e-10, 1e-12])
+def test_problem_accepts_exact_x0_star_on_an_ill_conditioned_system(e):
+    # full rank, so x0_star = x_star; pinv(A) b misses it by 4.6e-8, 3.9e-6
+    # and 3.8e-4 here, so a check against a recomputed projection rejects it
+    A = np.array([[1.0, 2.0], [2.0, 4.0 + e]])
+    x_star = np.array([1.0, -1.0])
+    Problem(A=A, b=A @ x_star, x_star=x_star, x0=np.zeros(2), x0_star=x_star.copy())
 
 
 def test_problem_consistency_invariant():
@@ -410,18 +419,22 @@ def _fingerprint(made):
     return made
 
 
-@pytest.mark.parametrize("make, size", [
-    (lambda k: synthetic_problem(k, 8, 1), 20),
-    (lambda k: gen_conditioned(k, 10, 20.0, 1), 30),
-    (lambda k: gen_direction_adversarial(3, n=k), 40),
-    (lambda k: gen_ac_problem(GraphSpec("line", k), np.arange(5.0)), 5),
-    (lambda k: build_graph(GraphSpec("geometric", k)), 6),
+_DIMENSIONS = "dimensions must be positive whole numbers"
+_GRAPH = "graph needs n >= 2, a whole number"
+
+
+@pytest.mark.parametrize("make, size, error", [
+    (lambda k: synthetic_problem(k, 8, 1), 20, _DIMENSIONS),
+    (lambda k: gen_conditioned(k, 10, 20.0, 1), 30, _DIMENSIONS),
+    (lambda k: gen_direction_adversarial(3, n=k), 40, _DIMENSIONS),
+    (lambda k: gen_ac_problem(GraphSpec("line", k), np.arange(5.0)), 5, _GRAPH),
+    (lambda k: build_graph(GraphSpec("geometric", k)), 6, _GRAPH),
 ], ids=["synthetic", "conditioned", "adversarial", "ac", "graph"])
-def test_generators_take_whole_number_float_sizes(make, size):
+def test_generators_take_whole_number_float_sizes(make, size, error):
     # each float size once raised TypeError: 'float' object cannot be
     # interpreted as an integer
     assert _fingerprint(make(float(size))) == _fingerprint(make(size))
-    with pytest.raises(ValueError, match="invalid matrix"):
+    with pytest.raises(ValueError, match=f"invalid matrix: {error}"):
         make(size + 0.5)
 
 
