@@ -2,6 +2,7 @@
 trajectory invariants, the run driver, and terminal statuses."""
 
 import math
+import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -16,12 +17,17 @@ from rdr_lab.problems import (
 )
 from rdr_lab.sampling import Rng
 from rdr_lab.solvers import (
+    _LANE_ARRAYS,
+    _METHODS,
+    BATCH,
     DIVERGENCE_RSE,
+    DRAW_BLOCK,
     METHODS,
     RunResult,
     SolverConfig,
     SolverState,
     StopRule,
+    _Lanes,
     cyclic_dr_step,
     init_state,
     mrrdr_step,
@@ -359,6 +365,116 @@ def test_draw_block_size_never_touches_bits(method, monkeypatch):
         monkeypatch.setattr(solvers, "DRAW_BLOCK", size)
         for got, res in zip(run(problem, *configs), want):
             _assert_same_trial(got, res)
+
+
+def _mixed_r_group():
+    """mrrdr lanes of six r values, with and without momentum, that converge
+    or run out of budget at different iterations between trace records."""
+    return [SolverConfig(method="mrrdr", r=r, alpha=0.5, beta=beta, seed=10 * r + i,
+                         trace_every=(0, 3, 40)[i % 3],
+                         stop=StopRule(rse_tol=1e-8, max_row_actions=(600, 4_000)[i % 2]))
+            for i, (r, beta) in enumerate((r, beta) for r in (1, 2, 3, 5, 8, 20)
+                                          for beta in (0.0, 0.4))]
+
+
+def _overflowing_problem():
+    """A system scaled to |x0_star|^2 = 1e306: a divergent momentum cell's
+    squared error overflows once rse passes about 180, far below
+    DIVERGENCE_RSE."""
+    p = synthetic_problem(10, 4, seed=2)
+    s = 1e153
+    return Problem(A=p.A, b=p.b * s, x_star=p.x_star * s, x0=p.x0,
+                   x0_star=p.x0_star * s)
+
+
+# rp-admm tests its stop rules every sweep, so it runs no batch to compare
+BATCHED = [method for method in METHODS if method != "rp-admm"]
+
+
+@pytest.mark.parametrize("make_case", [
+    *(pytest.param(lambda method=method: (synthetic_problem(20, 8, seed=1),
+                                          _mixed_group(method)), id=method)
+      for method in BATCHED),
+    pytest.param(lambda: (synthetic_problem(20, 8, seed=1), _mixed_r_group()),
+                 id="mrrdr-mixed-r"),
+    # lanes that end on an overflow run on with inf and nan to the batch end
+    pytest.param(lambda: (_overflowing_problem(), [
+        SolverConfig(method="mrrdr", r=r, alpha=0.9, beta=0.8, seed=r + i,
+                     trace_every=25 * (r == 3),
+                     stop=StopRule(rse_tol=1e-12, max_iterations=100))
+        for i, r in enumerate((1, 1, 2, 3))]),
+        id="mrrdr-overflow", marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered", "ignore:invalid value encountered"))])
+def test_batch_size_never_touches_bits(make_case, monkeypatch):
+    # run tests its stop rules once per batch of iterations; a lane that
+    # ends inside a batch takes the iteration it ended at, whatever the
+    # batch size, and BATCH = 1 tests every iteration
+    from rdr_lab import solvers
+
+    problem, configs = make_case()
+    monkeypatch.setattr(solvers, "BATCH", 1)
+    want = run(problem, *configs)
+    for size in (2, 7, BATCH):
+        monkeypatch.setattr(solvers, "BATCH", size)
+        for got, res in zip(run(problem, *configs), want):
+            _assert_same_trial(got, res)
+
+
+@pytest.mark.parametrize("method", BATCHED)
+def test_updates_never_write_into_lane_arrays(method):
+    # a batch keeps references to each iteration's lane arrays, which hold
+    # that iteration's values only if no later update writes into them
+    problem = synthetic_problem(20, 8, seed=1)
+    configs = sorted(_mixed_group(method)[:3], key=lambda c: -c.r)
+    lanes = _Lanes(problem, init_state(problem, configs[0]), configs,
+                   [Rng(c.seed) for c in configs], DRAW_BLOCK)
+    update = _METHODS[method].update
+    for _ in range(3):
+        kept = [(name, rows, rows.tobytes()) for name in _LANE_ARRAYS
+                if (rows := getattr(lanes, name)) is not None]
+        update(lanes, problem, lanes.draw())
+        for name, rows, before in kept:
+            assert rows.tobytes() == before, name
+
+
+def test_diverging_lanes_end_inside_a_batch_without_overflow(monkeypatch):
+    # the lanes of a batch run on past an exit; an mrrdr iterate's error
+    # grows at most 3-fold an iteration, so on a system scaled to
+    # |x0 - x0_star|^2 = 1e200 a lane that diverges inside a batch reaches
+    # no overflow before the batch ends, and ends where BATCH = 1 ends it
+    from rdr_lab import solvers
+
+    p = synthetic_problem(20, 8, seed=1)
+    s = 1e100 / np.linalg.norm(p.x0_star - p.x0)
+    problem = Problem(A=p.A, b=p.b * s, x_star=p.x_star * s, x0=p.x0,
+                      x0_star=p.x0_star * s)
+    configs = [SolverConfig(method="mrrdr", r=2, alpha=0.9, beta=0.95, seed=seed,
+                            stop=StopRule(rse_tol=1e-12, max_iterations=10_000))
+               for seed in (3, 4, 5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = run(problem, *configs)
+        monkeypatch.setattr(solvers, "BATCH", 1)
+        want = run(problem, *configs)
+    for got, res in zip(runs, want):
+        _assert_same_trial(got, res)
+        assert got.status == "diverged"
+        # 3 lanes of n = 8 run batches of BATCH iterations from k = 0
+        assert got.iterations % BATCH != 0
+
+
+def test_rp_admm_lanes_end_without_overflow():
+    # a diverging rp-admm sweep grows the squared error about
+    # 1/penalty^2-fold, 1e12 at a penalty of 1e-6, so the 31 sweeps of a
+    # batch past an exit would overflow; run tests every rp-admm sweep
+    problem = synthetic_problem(20, 8, seed=1)
+    configs = [SolverConfig(method="rp-admm", penalty=1e-6, seed=seed,
+                            stop=StopRule(rse_tol=1e-12, max_iterations=3000))
+               for seed in (0, 1, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = run(problem, *configs)
+    assert [(res.status, res.iterations) for res in runs] == [("diverged", 2)] * 3
 
 
 def test_mixed_momentum_block_keeps_signed_zero():
@@ -756,13 +872,8 @@ def test_run_divergence_status():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_numerical_divergence_status():
-    # a divergent momentum cell on a system scaled to |x0_star|^2 = 1e306:
-    # the squared error overflows once rse passes about 180, far below
-    # DIVERGENCE_RSE, so the overflow is what ends the run
-    p = synthetic_problem(10, 4, seed=2)
-    s = 1e153
-    problem = Problem(A=p.A, b=p.b * s, x_star=p.x_star * s, x0=p.x0,
-                      x0_star=p.x0_star * s)
+    # a divergent momentum cell whose overflow is what ends the run
+    problem = _overflowing_problem()
     cfg = SolverConfig(method="mrrdr", r=1, alpha=0.9, beta=0.8, seed=0,
                        stop=StopRule(rse_tol=1e-12, max_iterations=100))
     with np.errstate(over="ignore", invalid="ignore"):
