@@ -148,17 +148,15 @@ _PER_LANE = _LANE_ARRAYS[:-1] + ("r", "alpha", "stay", "beta", "penalty", "per",
 
 
 # the lanes after one iteration of a batch: its count, cursor and lane arrays
-_Snap = namedtuple("_Snap", ("k", "cyclic_cursor") + _LANE_ARRAYS)
-_snap_fields = attrgetter(*_Snap._fields)
+_snap = attrgetter("k", "cyclic_cursor", *_LANE_ARRAYS)
 
 
-def _lane_state(lanes, i: int, row_actions: int) -> SolverState:
-    """Lane ``i`` of ``lanes``, a _Lanes or a _Snap, as a SolverState of its
-    own arrays."""
-    arrays = {name: rows[i].copy() for name in _LANE_ARRAYS
-              if (rows := getattr(lanes, name)) is not None}
-    return SolverState(k=lanes.k, row_actions=row_actions,
-                       cyclic_cursor=lanes.cyclic_cursor, **arrays)
+def _lane_state(snap: tuple, i: int, row_actions: int) -> SolverState:
+    """Lane ``i`` of a ``_snap`` tuple as a SolverState of its own arrays."""
+    k, cyclic_cursor, *blocks = snap
+    arrays = {name: rows[i].copy() for name, rows in zip(_LANE_ARRAYS, blocks)
+              if rows is not None}
+    return SolverState(k=k, row_actions=row_actions, cyclic_cursor=cyclic_cursor, **arrays)
 
 
 class _Lanes:
@@ -207,9 +205,6 @@ class _Lanes:
             # prefix[j] = the number of lanes with r > j
             self.prefix = np.bincount(self.r[:, 0])[:0:-1].cumsum()[::-1].tolist()
 
-    def snap(self) -> _Snap:  # no update but rp-admm's, which takes none, writes into it
-        return _Snap._make(_snap_fields(self))
-
     def take(self, keep: np.ndarray):
         """Keep only the lanes ``keep``, an index array, in that order."""
         for name in _PER_LANE:
@@ -237,18 +232,15 @@ class _Lanes:
         for rng, c in zip(self.rngs, per):
             rng._gen.random(out=u[start:start + iters * c])  # the call inside Rng.uniform
             start += iters * c
-        drawn = self.samplers[0].lookup(u) if k == 1 \
-            else np.stack([s.lookup(u[p::k]) for p, s in enumerate(self.samplers)], -1)
-        width = per[0]  # the most draws of any lane, as lanes are sorted by r
-        if per[-1] == width:
-            drawn = drawn.reshape(len(per), iters, width)
-        else:
-            # draw j of iteration s of lane t; a lane with fewer than width
-            # draws repeats its last in the places the update never reads
-            c = self.per[:, None, None]
-            drawn = drawn[iters * (c.cumsum(0) - c) + c * np.arange(iters)[:, None]
-                          + np.minimum(np.arange(width), c - 1)]
-        self.drawn, self.i = drawn, 0
+        drawn = self.samplers[0].lookup(u) if k == 1 else np.stack(
+            [s.lookup(u[p::k]) for p, s in enumerate(self.samplers)], -1).reshape(-1)
+        # draw j of iteration s of lane t, for j below width, the most draws of
+        # any lane (lanes are sorted by r); a lane with fewer draws repeats its
+        # last in the places the update never reads
+        c, width = self.per[:, None, None], per[0]
+        self.drawn = drawn[iters * (c.cumsum(0) - c) + c * np.arange(iters)[:, None]
+                           + np.minimum(np.arange(width), c - 1)]
+        self.i = 0
 
 
 # Updates: one iteration of every lane, given the indices it drew.  Dots are
@@ -386,7 +378,7 @@ def _step(state: SolverState, problem: Problem, config: SolverConfig,
     makes it, with the indices drawn from ``rng`` one call at a time."""
     lanes = _Lanes(problem, state, [config], [rng], 0)
     _METHODS[config.method].update(lanes, problem, lanes.draw())
-    vars(state).update(vars(_lane_state(lanes, 0, state.row_actions + int(lanes.per[0]))))
+    vars(state).update(vars(_lane_state(_snap(lanes), 0, state.row_actions + lanes.per.item(0))))
     return state
 
 
@@ -473,15 +465,15 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
         np.flatnonzero((rse0 < tol) | (den == 0.0)).tolist(), "converged")
     # a batch's snapshots and their RSEs, a row an iteration, and the
     # snapshot at which each lane was tested; the start is a batch of one
-    snaps, rse, at = [lanes], np.full((1, len(group)), rse0), np.zeros(len(group), int)
-    # x0_star as many times as a batch has iterate rows: a subtraction without
-    # broadcast took 16 against 23 us at 500 lanes of n = 50
-    x0_star = problem.x0_star[None]
+    snaps, rse, at = [_snap(lanes)], np.full((1, len(group)), rse0), np.zeros(len(group), int)
+    # x0_star as many times as a batch has iterate rows at most (see cap): a
+    # subtraction without broadcast took 16 against 23 us at 500 lanes of n = 50
+    x0_star = np.tile(problem.x0_star, (max(len(group), (DRAW_BLOCK // 4) // problem.A.n), 1))
     while True:
         # results of the lanes that ended, and a block of the others; no name
         # but snaps holds a snapshot, whose blocks would outlive the lane exits
         for i, status in ended.items():
-            p, k, r = pos[i], snaps[at[i]].k, float(rse[at[i], i])
+            p, k, r = pos[i], snaps[at[i]][0], float(rse[at[i], i])
             state = _lane_state(snaps[at[i]], i, k * int(lanes.per[i]))
             if records[p][-1].k != k:
                 records[p].append(_record(problem, metrics_fn, k, state.row_actions,
@@ -506,19 +498,13 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
         next_due, top, flagged, ended = float(due.min()), tol.max(), [], {}
         cap = 1 if method == "rp-admm" else min(BATCH, max(1, (DRAW_BLOCK // 4) // lanes.x.size))
         while len(flagged) == 0:
-            # min(cap, next_due - k) iterations; the last one's snapshot is
-            # the lanes, read before they move
             snaps = []
-            for _ in range(cap - 1 if lanes.k + cap <= next_due else int(next_due) - lanes.k - 1):
+            for _ in range(cap if lanes.k + cap <= next_due else int(next_due) - lanes.k):
                 update(lanes, problem, lanes.draw())
-                snaps.append(lanes.snap())
-            update(lanes, problem, lanes.draw())
-            snaps.append(lanes)
-            rows = len(snaps) * len(pos)
-            if len(x0_star) < rows:
-                x0_star = np.tile(problem.x0_star, (rows, 1))
-            d = (np.concatenate([snap.x for snap in snaps]) if len(snaps) > 1
-                 else lanes.x) - x0_star[:rows]
+                snaps.append(_snap(lanes))
+            # the iterates, snap[2], less x0_star
+            d = (np.concatenate([snap[2] for snap in snaps]) if len(snaps) > 1
+                 else snaps[0][2]) - x0_star[:len(snaps) * len(pos)]
             rse = np.vecdot(d, d)
             rse /= den
             # unless these fail, no lane can end or need a record
@@ -533,7 +519,7 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
             flagged, at = np.flatnonzero(flags.any(0)), flags.argmax(0)
         for i in flagged:
             # a lane flagged before the batch's last iteration ends there
-            k, r = snaps[at[i]].k, float(rse[at[i], i])
+            k, r = snaps[at[i]][0], float(rse[at[i], i])
             if not math.isfinite(r):
                 ended[i] = "numerical-divergence"
             elif r > DIVERGENCE_RSE:

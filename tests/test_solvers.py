@@ -1,6 +1,7 @@
 """Solver tests: config validation, fixed points, method cross-checks,
 trajectory invariants, the run driver, and terminal statuses."""
 
+import itertools
 import math
 import warnings
 from contextlib import nullcontext
@@ -348,6 +349,21 @@ def test_grouped_trials_match_lone_runs(method, make_problem):
         assert "diverged" in statuses
     assert runs.iterations == sum(res.iterations for res in runs)
     assert runs.row_actions == sum(res.row_actions for res in runs)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trials_share_no_memory(method):
+    # each trial's state holds its own arrays, copied out of the lane blocks
+    # or the batch snapshot it ended at, though lanes exit at different
+    # iterations and several at one snapshot
+    runs = run(synthetic_problem(20, 8, seed=1), *_mixed_group(method))
+    assert len({res.iterations for res in runs}) >= 4
+    held = [(p, name, rows) for p, res in enumerate(runs) for name in _LANE_ARRAYS
+            if (rows := getattr(res.state, name)) is not None]
+    for p, name, rows in held:
+        assert rows.flags.owndata, (p, name)
+    for (p, name, a), (q, other, b) in itertools.combinations(held, 2):
+        assert p == q or not np.shares_memory(a, b), (p, name, q, other)
 
 
 @pytest.mark.parametrize("method", ("rrdr", "mrrdr", "rk", "rek", "rgs", "rp-admm"))
