@@ -275,6 +275,8 @@ def write_matrix_market(path, arr, fmt: str = "coordinate"):
     if arr.ndim != 2:
         raise ValueError("invalid matrix: expected a 2-d array")
     m, n = arr.shape
+    if fmt not in ("coordinate", "array"):  # before open truncates the file
+        raise ValueError(f"unsupported format: {fmt}")
     with open(path, "w", encoding="ascii") as fh:
         if fmt == "coordinate":
             fh.write("%%MatrixMarket matrix coordinate real general\n")
@@ -282,14 +284,12 @@ def write_matrix_market(path, arr, fmt: str = "coordinate"):
             fh.write(f"{m} {n} {len(rows)}\n")
             for i, j in zip(rows, cols):
                 fh.write(f"{i + 1} {j + 1} {arr[i, j]:.17g}\n")
-        elif fmt == "array":
+        else:
             fh.write("%%MatrixMarket matrix array real general\n")
             fh.write(f"{m} {n}\n")
             for j in range(n):
                 for i in range(m):
                     fh.write(f"{arr[i, j]:.17g}\n")
-        else:
-            raise ValueError("unsupported format: " + fmt)
 
 
 def load_matrix_market(path) -> Matrix:
@@ -334,32 +334,6 @@ def default_geometric_radius(n: int) -> float:
     return math.sqrt(math.log(n) / n)
 
 
-def _bfs_connected(n: int, adjacency) -> bool:
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
-
-
-def _geometric_edges(n: int, radius: float, rng: Rng):
-    pts = rng.uniform((n, 2))
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = pts[u] - pts[v]
-            if float(d @ d) <= radius * radius:
-                edges.append((u, v))
-    return edges
-
-
 def _graph_size(spec: GraphSpec) -> int:
     """``spec.n`` as an int; it must be a whole number >= 2 (6.0 is 6)."""
     n = _whole(spec.n)
@@ -368,32 +342,47 @@ def _graph_size(spec: GraphSpec) -> int:
     return n
 
 
-def build_graph(spec: GraphSpec):
-    """Edge list for the requested topology; geometric graphs retry seeds.
+def _incidence(edges, n: int) -> Matrix:
+    """Incidence matrix of ``edges``: row k is ``e_u - e_v`` for the k-th edge (u, v)."""
+    arr = np.zeros((len(edges), n))
+    rows, (u, v) = np.arange(len(edges)), np.transpose(edges)
+    arr[rows, u], arr[rows, v] = 1.0, -1.0
+    return Matrix(arr)
 
-    Returns ``(edges, attempts)``.  Geometric graphs are resampled with fresh
-    child seeds until connected, up to ``GEOMETRIC_RETRIES`` times.
-    """
+
+def _graph(spec: GraphSpec):
+    """``(edges, attempts, incidence)``; the incidence is None unless geometric."""
     n = _graph_size(spec)
     if spec.topology == "line":
-        return [(i, i + 1) for i in range(n - 1)], 1
+        return [(i, i + 1) for i in range(n - 1)], 1, None
     if spec.topology == "cycle":
-        return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)], 1
+        return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)], 1, None
     if spec.topology != "geometric":
         raise ValueError(f"unknown topology: {spec.topology}")
     radius = spec.radius if spec.radius is not None else default_geometric_radius(n)
     if not (0.0 < radius):
         raise ValueError("invalid matrix: radius must be positive")
     root = Rng(spec.seed)
+    u, v = np.triu_indices(n, 1)
     for attempt in range(1, GEOMETRIC_RETRIES + 1):
-        edges = _geometric_edges(n, radius, root.child(attempt))
-        adjacency = [[] for _ in range(n)]
-        for u, v in edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        if edges and _bfs_connected(n, adjacency):
-            return edges, attempt
+        pts = root.child(attempt).uniform((n, 2))
+        d = pts[u] - pts[v]
+        near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius
+        edges = list(zip(u[near].tolist(), v[near].tolist()))
+        # a graph on n nodes is connected exactly when its incidence has rank n - 1
+        if edges and svd_small(A := _incidence(edges, n)).rank == n - 1:
+            return edges, attempt, A
     raise ValueError("disconnected graph")
+
+
+def build_graph(spec: GraphSpec):
+    """Edge list for the requested topology; geometric graphs retry seeds.
+
+    Returns ``(edges, attempts)``.  Geometric graphs are redrawn from fresh
+    child seeds, up to ``GEOMETRIC_RETRIES`` (50) times, until the incidence
+    matrix has rank n - 1, that is until the graph is connected.
+    """
+    return _graph(spec)[:2]
 
 
 def gen_ac_problem(spec: GraphSpec, c) -> Problem:
@@ -406,16 +395,11 @@ def gen_ac_problem(spec: GraphSpec, c) -> Problem:
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (n,):
         raise ValueError("invalid matrix: c has wrong length")
-    edges, attempts = build_graph(spec)
-    arr = np.zeros((len(edges), n))
-    for k, (u, v) in enumerate(edges):
-        arr[k, u] = 1.0
-        arr[k, v] = -1.0
-    A = Matrix(arr)
+    edges, attempts, A = _graph(spec)
     target = np.full(n, float(c.mean()))
     return Problem(
-        A=A, b=np.zeros(len(edges)), x_star=target, x0=c.copy(), x0_star=target,
-        label=f"ac-{spec.topology}-{n}",
+        A=_incidence(edges, n) if A is None else A, b=np.zeros(len(edges)),
+        x_star=target, x0=c.copy(), x0_star=target, label=f"ac-{spec.topology}-{n}",
         info={"edges": len(edges), "attempts": attempts},
     )
 

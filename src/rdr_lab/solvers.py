@@ -453,12 +453,13 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     # each lane's stop state: its config's place in the call; its RSE bound
     # (RSE is never negative, so no tolerance is a bound of 0); the first
     # iteration at which a budget is spent; and the row actions between its
-    # trace records and at its next one (inf: none)
+    # trace records and at its next one (inf: none), as floats, since a bound
+    # past 2**64 next to an inf made an object array that np.ceil overflowed
     budget = np.array([(c.stop.max_iterations or math.inf,
-                        c.stop.max_row_actions or math.inf) for c in group])
+                        c.stop.max_row_actions or math.inf) for c in group], float)
     pos, tol = np.array(order), np.array([c.stop.rse_tol or 0.0 for c in group])
     end = np.minimum(budget[:, 0], np.ceil(budget[:, 1] / lanes.per))
-    every = np.array([c.trace_every or math.inf for c in group])
+    every = np.array([c.trace_every or math.inf for c in group], float)
     trace = every.copy()
     update = _METHODS[method].update
     results, ended = [None] * len(configs), dict.fromkeys(

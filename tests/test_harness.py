@@ -656,6 +656,17 @@ def test_cli_run_bad_stop_rule(tmp_path, capsys, run_keys, message):
     assert capsys.readouterr().err == f"error: invalid parameter: {message}\n"
 
 
+def test_cli_run_iteration_budget_past_int64(tmp_path, capsys):
+    # once an OverflowError traceback and exit 1
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(RUN_CONFIG.replace("max_row_actions = 20000", "max_row_actions = none\n"
+                                      "max_iterations = 100000000000000000000"))
+    code = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_OK, err
+    assert "status=converged" in out and "Traceback" not in err
+
+
 def test_cli_rates_even_r_on_rank_one(tmp_path, capsys):
     cfg = tmp_path / "rank1.cfg"
     cfg.write_text("[problem]\nsource = ac\ntopology = line\nnodes = 2\n"

@@ -1,6 +1,7 @@
 """Problem construction tests: synthetic generators, Matrix Market I/O,
 consensus graphs, and the special geometries."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -344,6 +345,17 @@ def test_mtx_roundtrip_exact(tmp_path):
         np.testing.assert_array_equal(back, arr)
 
 
+@pytest.mark.parametrize("fmt", ("bogus", None))
+def test_mtx_bad_format_leaves_file_alone(tmp_path, fmt):
+    # the format was once checked only after open had truncated the file
+    path = tmp_path / "kept.mtx"
+    write_matrix_market(path, np.eye(2))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=f"unsupported format: {fmt}"):
+        write_matrix_market(path, np.eye(3), fmt=fmt)
+    assert path.read_bytes() == before
+
+
 def test_load_transposes_wide(tmp_path):
     arr = np.arange(6, dtype=np.float64).reshape(2, 3) + 1.0
     path = tmp_path / "wide.mtx"
@@ -409,6 +421,39 @@ def test_geometric_small_radius_disconnects():
     # log(n)/n at n=50 leaves expected degree below 1; all retries fail
     with pytest.raises(ValueError, match="disconnected graph"):
         build_graph(GraphSpec("geometric", 50, radius=math.log(50) / 50, seed=0))
+
+
+@pytest.mark.parametrize("spec, edges, attempts, digest", [
+    # criterion 10's graph, and a radius at which the first draw is disconnected
+    (GraphSpec("geometric", 50, seed=777), 236, 1,
+     "8564cf76388cc4180030863f26ed945f823c8f2bf0b0e34c96c9c5820cc7a4c6"),
+    (GraphSpec("geometric", 200, 0.7 * default_geometric_radius(200), 0), 719, 2,
+     "fe25447baf45dffc119052cd124c972837e52de69977eb429a58e3be74f683ed"),
+], ids=["criterion10", "retry"])
+def test_geometric_graph_pinned(spec, edges, attempts, digest):
+    got, tries = build_graph(spec)
+    assert (len(got), tries) == (edges, attempts)
+    assert hashlib.sha256(np.array(got, dtype=np.int64).tobytes()).hexdigest() == digest
+    assert all(type(u) is int and type(v) is int and u < v for u, v in got)
+
+
+@pytest.mark.parametrize("spec, attempts", [
+    (GraphSpec("geometric", 50, seed=777), 1),
+    (GraphSpec("geometric", 200, 0.7 * default_geometric_radius(200), 0), 2),
+], ids=["criterion10", "retry"])
+def test_geometric_ac_factors_each_attempt_once(monkeypatch, spec, attempts):
+    # the SVD whose rank accepted the graph is the one Problem checks x0_star with
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    p = gen_ac_problem(spec, Rng(1).uniform(spec.n))
+    assert p.info["attempts"] == attempts == len(calls)
+    assert svd_small(p.A).rank == spec.n - 1
+
+
+@pytest.mark.parametrize("seed", (-1, 1.5, 2 ** 64))
+def test_geometric_graph_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        build_graph(GraphSpec("geometric", 10, seed=seed))
 
 
 def _fingerprint(made):

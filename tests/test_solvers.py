@@ -539,6 +539,23 @@ def test_run_takes_configs_of_one_method():
         run(problem, SolverConfig(method="rk"), SolverConfig(method="rrdr"))
 
 
+@pytest.mark.parametrize("bound", (2 ** 63, 2 ** 64, 10 ** 30))
+def test_budgets_past_int64_run(bound):
+    # a stop bound past 2**64 once made run's bound arrays hold Python
+    # objects, and np.ceil(inf / per) then raised OverflowError
+    problem = synthetic_problem(12, 5, seed=3)
+    (res,) = run(problem, SolverConfig(method="rk", stop=StopRule(
+        rse_tol=1e-12, max_iterations=bound)))
+    assert (res.status, res.iterations) == ("converged", 289)
+    configs = [SolverConfig(method="rk", seed=seed, trace_every=every,
+                            stop=StopRule(rse_tol=1e-12, max_iterations=1000))
+               for seed, every in ((0, 0), (1, bound))]
+    for cfg, res in zip(configs, run(problem, *configs)):
+        (alone,) = run(problem, cfg)
+        _assert_same_trial(res, alone)
+        assert res.status == "converged" and len(res.records) == 2
+
+
 @pytest.mark.parametrize("n", (1, 3, 7, 50, 128, 500))
 def test_lane_dot_matches_ndarray_dot(n):
     # run() takes each lane's dots with np.vecdot over rows gathered from A
