@@ -312,7 +312,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     runs = [(label, trial, results[i]) for i, (label, trial, _) in enumerate(trials)]
     elapsed = time.perf_counter() - t_start
 
-    rates = {} if spec.problem.source == "three-lines" else rate_reports(spec, problem)
+    rates = rate_reports(spec, problem)
 
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Problem instances: generators, Matrix Market I/O, and special geometries.
+"""Problem instances: generators, Matrix Market input, and special geometries.
 
 Every instance is packaged as a :class:`Problem` carrying the matrix, the
 right-hand side, a planted solution, the start point, and the reference point
@@ -167,7 +167,7 @@ def conditioned_problem(m: int, n: int, target_ratio: float, seed: int) -> Probl
 
 
 # ---------------------------------------------------------------------------
-# Matrix Market I/O
+# Matrix Market input
 # ---------------------------------------------------------------------------
 
 
@@ -265,33 +265,6 @@ def read_matrix_market(path) -> np.ndarray:
     return arr
 
 
-def write_matrix_market(path, arr, fmt: str = "coordinate"):
-    """Write a dense array as a real general Matrix Market file.
-
-    Values are printed with 17 significant digits so a write-then-read round
-    trip reproduces every float64 exactly.
-    """
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("invalid matrix: expected a 2-d array")
-    m, n = arr.shape
-    if fmt not in ("coordinate", "array"):  # before open truncates the file
-        raise ValueError(f"unsupported format: {fmt}")
-    with open(path, "w", encoding="ascii") as fh:
-        if fmt == "coordinate":
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            rows, cols = np.nonzero(arr)
-            fh.write(f"{m} {n} {len(rows)}\n")
-            for i, j in zip(rows, cols):
-                fh.write(f"{i + 1} {j + 1} {arr[i, j]:.17g}\n")
-        else:
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write(f"{m} {n}\n")
-            for j in range(n):
-                for i in range(m):
-                    fh.write(f"{arr[i, j]:.17g}\n")
-
-
 def load_matrix_market(path) -> Matrix:
     """Load a Matrix Market file as a :class:`Matrix`, transposed if m < n.
 
@@ -334,73 +307,55 @@ def default_geometric_radius(n: int) -> float:
     return math.sqrt(math.log(n) / n)
 
 
-def _graph_size(spec: GraphSpec) -> int:
-    """``spec.n`` as an int; it must be a whole number >= 2 (6.0 is 6)."""
-    n = _whole(spec.n)
-    if n is None or n < 2:
-        raise ValueError("invalid matrix: graph needs n >= 2, a whole number")
-    return n
-
-
-def _incidence(edges, n: int) -> Matrix:
-    """Incidence matrix of ``edges``: row k is ``e_u - e_v`` for the k-th edge (u, v)."""
-    arr = np.zeros((len(edges), n))
-    rows, (u, v) = np.arange(len(edges)), np.transpose(edges)
+def _incidence(u, v, n: int) -> Matrix:
+    """Incidence matrix of the edges ``(u[k], v[k])``: row k is ``e_u - e_v``."""
+    arr = np.zeros((len(u), n))
+    rows = np.arange(len(u))
     arr[rows, u], arr[rows, v] = 1.0, -1.0
     return Matrix(arr)
-
-
-def _graph(spec: GraphSpec):
-    """``(edges, attempts, incidence)``; the incidence is None unless geometric."""
-    n = _graph_size(spec)
-    if spec.topology == "line":
-        return [(i, i + 1) for i in range(n - 1)], 1, None
-    if spec.topology == "cycle":
-        return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)], 1, None
-    if spec.topology != "geometric":
-        raise ValueError(f"unknown topology: {spec.topology}")
-    radius = spec.radius if spec.radius is not None else default_geometric_radius(n)
-    if not (0.0 < radius):
-        raise ValueError("invalid matrix: radius must be positive")
-    root = Rng(spec.seed)
-    u, v = np.triu_indices(n, 1)
-    for attempt in range(1, GEOMETRIC_RETRIES + 1):
-        pts = root.child(attempt).uniform((n, 2))
-        d = pts[u] - pts[v]
-        near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius
-        edges = list(zip(u[near].tolist(), v[near].tolist()))
-        # a graph on n nodes is connected exactly when its incidence has rank n - 1
-        if edges and svd_small(A := _incidence(edges, n)).rank == n - 1:
-            return edges, attempt, A
-    raise ValueError("disconnected graph")
-
-
-def build_graph(spec: GraphSpec):
-    """Edge list for the requested topology; geometric graphs retry seeds.
-
-    Returns ``(edges, attempts)``.  Geometric graphs are redrawn from fresh
-    child seeds, up to ``GEOMETRIC_RETRIES`` (50) times, until the incidence
-    matrix has rank n - 1, that is until the graph is connected.
-    """
-    return _graph(spec)[:2]
 
 
 def gen_ac_problem(spec: GraphSpec, c) -> Problem:
     """Average-consensus system: rows ``x_u - x_v = 0`` over graph edges.
 
-    On a connected graph the solution set is the span of the all-ones vector,
-    so the projection of the start vector ``c`` is ``mean(c) * ones``.
+    A line joins node i to i + 1, and a cycle also joins n - 1 to 0.  A
+    geometric graph joins each pair u < v of uniform points in the unit
+    square that lie within the radius; it is redrawn from fresh child seeds,
+    up to ``GEOMETRIC_RETRIES`` (50) times, until its incidence matrix has
+    rank n - 1, that is until the graph is connected.  On a connected graph
+    the solution set is the span of the all-ones vector, so the projection
+    of the start vector ``c`` is ``mean(c) * ones``.
     """
-    n = _graph_size(spec)
+    n = _whole(spec.n)
+    if n is None or n < 2:
+        raise ValueError("invalid matrix: graph needs n >= 2, a whole number")
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (n,):
         raise ValueError("invalid matrix: c has wrong length")
-    edges, attempts, A = _graph(spec)
+    if spec.topology in ("line", "cycle"):
+        u = np.arange(n - 1 if spec.topology == "line" else n)
+        A, attempt = _incidence(u, (u + 1) % n, n), 1
+    elif spec.topology != "geometric":
+        raise ValueError(f"unknown topology: {spec.topology}")
+    else:
+        radius = spec.radius if spec.radius is not None else default_geometric_radius(n)
+        if not (0.0 < radius):
+            raise ValueError("invalid matrix: radius must be positive")
+        root = Rng(spec.seed)
+        u, v = np.triu_indices(n, 1)
+        for attempt in range(1, GEOMETRIC_RETRIES + 1):
+            pts = root.child(attempt).uniform((n, 2))
+            d = pts[u] - pts[v]
+            near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius
+            # a graph on n nodes is connected exactly when its incidence has rank n - 1
+            if near.any() and svd_small(A := _incidence(u[near], v[near], n)).rank == n - 1:
+                break
+        else:
+            raise ValueError("disconnected graph")
     target = np.full(n, float(c.mean()))
     return Problem(
-        A=_incidence(edges, n) if A is None else A, b=np.zeros(len(edges)),
-        x_star=target, x0=c.copy(), x0_star=target, label=f"ac-{spec.topology}-{n}",
-        info={"edges": len(edges), "attempts": attempts},
+        A=A, b=np.zeros(A.m), x_star=target, x0=c.copy(), x0_star=target,
+        label=f"ac-{spec.topology}-{n}", info={"edges": A.m, "attempts": attempt},
     )
 
 

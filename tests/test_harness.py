@@ -25,9 +25,10 @@ from rdr_lab.harness import (
     preset,
     run_experiment,
 )
-from rdr_lab.linalg import svd_small
-from rdr_lab.problems import write_matrix_market
+from rdr_lab.linalg import spectral_scalars, svd_small
+from rdr_lab.problems import three_lines_failure_problem
 from rdr_lab.solvers import SolverConfig, StopRule
+from rdr_lab.theory import rate_report
 
 MINIMAL = """
 [problem]
@@ -182,7 +183,7 @@ def test_build_problem_sources(tmp_path):
     p = build_problem(ProblemSpec(source="conditioned", m=12, n=4, ratio=40.0), seed=1)
     assert p.A.shape == (12, 4)
     mtx = tmp_path / "t.mtx"
-    write_matrix_market(mtx, np.eye(3))
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1\n2 2 1\n3 3 1\n")
     p = build_problem(ProblemSpec(source="mtx", path=str(mtx)), seed=1)
     assert p.A.shape == (3, 3)
     p = build_problem(ProblemSpec(source="ac", topology="cycle", nodes=6), seed=1)
@@ -378,7 +379,7 @@ def test_run_experiment_identity_rk_budget(tmp_path):
     # alternating projections on an identity system: each action zeroes one
     # error coordinate, so 2*ceil(log(tol)/log(0.5)) = 80 actions is generous
     mtx = tmp_path / "id.mtx"
-    write_matrix_market(mtx, np.eye(2))
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 2 1\n")
     spec = ExperimentSpec(
         problem=ProblemSpec(source="mtx", path=str(mtx)),
         configs=[SolverConfig(method="rk",
@@ -394,7 +395,7 @@ def test_run_experiment_reports_rates_on_a_nearly_rank_one_matrix(tmp_path):
     # delta2 once rounded above 1 here, so the r = 2 rate report raised, and
     # the meta lost the rates of every config, r = 1 too
     mtx = tmp_path / "near.mtx"
-    write_matrix_market(mtx, np.array([[1.0, 2.0], [2.0, 4.00000001]]))
+    mtx.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n2\n2\n4.00000001\n")
     spec = ExperimentSpec(
         problem=ProblemSpec(source="mtx", path=str(mtx)),
         configs=[SolverConfig(method="rrdr", r=r, stop=StopRule(max_row_actions=20))
@@ -421,6 +422,19 @@ def test_run_experiment_failure_contrast(tmp_path):
         by_method.setdefault(label.split("[")[0], set()).add(res.status)
     assert by_method["det-rsets-dr"] == {"budget-exhausted"}
     assert by_method["rrdr"] == {"converged"}
+
+
+def test_run_experiment_reports_rates_on_three_lines(tmp_path):
+    # the rate lines were once left out of three-lines metas
+    spec = ExperimentSpec(
+        problem=ProblemSpec(source="three-lines"),
+        configs=[SolverConfig(method="rrdr", r=3, alpha=0.5, stop=StopRule(max_row_actions=30))],
+        trials=1, seed=0, out_dir=str(tmp_path), label="lines")
+    result = run_experiment(spec, out_dir=tmp_path)
+    expected = rate_report(spectral_scalars(three_lines_failure_problem().A), 0.5, 0.0, 3)
+    assert result.rates == {"rrdr[r=3,a=0.5]": expected}
+    assert f"rates.rrdr[r=3,a=0.5].rate_thm1 = {expected.rate_thm1!r}\n" \
+        in result.meta_path.read_text()
 
 
 def test_run_experiment_ac_line(tmp_path):

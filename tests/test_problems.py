@@ -1,4 +1,4 @@
-"""Problem construction tests: synthetic generators, Matrix Market I/O,
+"""Problem construction tests: synthetic generators, Matrix Market reading,
 consensus graphs, and the special geometries."""
 
 import hashlib
@@ -12,7 +12,6 @@ from rdr_lab.problems import (
     GEOMETRIC_RETRIES,
     GraphSpec,
     Problem,
-    build_graph,
     conditioned_problem,
     default_geometric_radius,
     gen_ac_problem,
@@ -25,7 +24,6 @@ from rdr_lab.problems import (
     read_matrix_market,
     synthetic_problem,
     three_lines_failure_problem,
-    write_matrix_market,
 )
 from rdr_lab.sampling import Rng
 
@@ -336,39 +334,35 @@ def test_mtx_rejects_duplicate_entry(tmp_path):
 
 
 def test_mtx_roundtrip_exact(tmp_path):
-    arr = np.random.default_rng(2).standard_normal((7, 4)) * 1e3
-    arr[2, 1] = 0.0
-    for fmt in ("coordinate", "array"):
+    # 17 significant digits give back every float64 exactly, in both formats
+    arr = np.array([[1 / 3, -math.pi * 1e3], [0.0, math.e], [0.1, 2 / 3 * 1e-300]])
+    files = {
+        "coordinate": "3 2 5\n1 1 0.33333333333333331\n1 2 -3141.5926535897929\n"
+                      "2 2 2.7182818284590451\n3 1 0.10000000000000001\n"
+                      "3 2 6.6666666666666668e-301\n",
+        "array": "3 2\n0.33333333333333331\n0\n0.10000000000000001\n"
+                 "-3141.5926535897929\n2.7182818284590451\n6.6666666666666668e-301\n",
+    }
+    for fmt, body in files.items():
         path = tmp_path / f"rt_{fmt}.mtx"
-        write_matrix_market(path, arr, fmt=fmt)
-        back = read_matrix_market(path)
-        np.testing.assert_array_equal(back, arr)
-
-
-@pytest.mark.parametrize("fmt", ("bogus", None))
-def test_mtx_bad_format_leaves_file_alone(tmp_path, fmt):
-    # the format was once checked only after open had truncated the file
-    path = tmp_path / "kept.mtx"
-    write_matrix_market(path, np.eye(2))
-    before = path.read_bytes()
-    with pytest.raises(ValueError, match=f"unsupported format: {fmt}"):
-        write_matrix_market(path, np.eye(3), fmt=fmt)
-    assert path.read_bytes() == before
+        path.write_text(f"%%MatrixMarket matrix {fmt} real general\n" + body)
+        np.testing.assert_array_equal(read_matrix_market(path), arr)
 
 
 def test_load_transposes_wide(tmp_path):
-    arr = np.arange(6, dtype=np.float64).reshape(2, 3) + 1.0
     path = tmp_path / "wide.mtx"
-    write_matrix_market(path, arr)
+    path.write_text("%%MatrixMarket matrix array real general\n2 3\n1\n4\n2\n5\n3\n6\n")
     loaded = load_matrix_market(path)
     assert loaded.shape == (3, 2)
-    np.testing.assert_array_equal(loaded.entries, arr.T)
+    np.testing.assert_array_equal(loaded.entries, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
 
 
 def test_mtx_problem_solvable(tmp_path):
-    arr = np.random.default_rng(4).standard_normal((6, 3))
     path = tmp_path / "p.mtx"
-    write_matrix_market(path, arr)
+    path.write_text("%%MatrixMarket matrix array real general\n6 3\n"
+                    "0.5\n-1.25\n2\n0\n3.5\n-0.75\n"
+                    "1\n0.25\n-2.5\n1.5\n0\n4\n"
+                    "-3\n2\n0.5\n-1\n1.75\n0.125\n")
     p = mtx_problem(path, seed=11)
     assert p.A.shape == (6, 3)
     assert np.linalg.norm(p.A.entries @ p.x_star - p.b) <= 1e-10 * (1 + np.linalg.norm(p.b))
@@ -396,13 +390,19 @@ def test_ac_line_three_nodes():
     np.testing.assert_array_equal(p.b, np.zeros(2))
 
 
+def test_ac_line_incidence():
+    p = gen_ac_problem(GraphSpec("line", 4), c=np.arange(4.0))
+    np.testing.assert_array_equal(
+        p.A.entries, [[1.0, -1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+    assert p.info == {"edges": 3, "attempts": 1}
+
+
 def test_ac_cycle_incidence():
     p = gen_ac_problem(GraphSpec("cycle", 4), c=np.arange(4.0))
-    assert p.A.shape == (4, 4)
-    for row in p.A.entries:
-        vals = sorted(row.tolist())
-        assert vals.count(1.0) == 1 and vals.count(-1.0) == 1
-        assert row.sum() == 0.0
+    np.testing.assert_array_equal(
+        p.A.entries, [[1.0, -1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 0.0], [0.0, 0.0, 1.0, -1.0],
+                      [-1.0, 0.0, 0.0, 1.0]])
+    assert p.info == {"edges": 4, "attempts": 1}
 
 
 def test_ac_rows_orthogonal_to_ones():
@@ -412,15 +412,16 @@ def test_ac_rows_orthogonal_to_ones():
 
 
 def test_geometric_default_radius_connects():
-    edges, attempts = build_graph(GraphSpec("geometric", 100, seed=3))
-    assert attempts == 1
-    assert len(edges) >= 99  # spanning a connected graph needs n-1 edges
+    p = gen_ac_problem(GraphSpec("geometric", 100, seed=3), np.zeros(100))
+    assert p.info["attempts"] == 1
+    assert p.info["edges"] >= 99  # spanning a connected graph needs n-1 edges
 
 
 def test_geometric_small_radius_disconnects():
     # log(n)/n at n=50 leaves expected degree below 1; all retries fail
     with pytest.raises(ValueError, match="disconnected graph"):
-        build_graph(GraphSpec("geometric", 50, radius=math.log(50) / 50, seed=0))
+        gen_ac_problem(GraphSpec("geometric", 50, radius=math.log(50) / 50, seed=0),
+                       np.zeros(50))
 
 
 @pytest.mark.parametrize("spec, edges, attempts, digest", [
@@ -431,10 +432,13 @@ def test_geometric_small_radius_disconnects():
      "fe25447baf45dffc119052cd124c972837e52de69977eb429a58e3be74f683ed"),
 ], ids=["criterion10", "retry"])
 def test_geometric_graph_pinned(spec, edges, attempts, digest):
-    got, tries = build_graph(spec)
-    assert (len(got), tries) == (edges, attempts)
-    assert hashlib.sha256(np.array(got, dtype=np.int64).tobytes()).hexdigest() == digest
-    assert all(type(u) is int and type(v) is int and u < v for u, v in got)
+    p = gen_ac_problem(spec, np.zeros(spec.n))
+    assert (p.info["edges"], p.info["attempts"]) == (edges, attempts)
+    A = p.A.entries
+    assert np.all(np.count_nonzero(A, axis=1) == 2)
+    got = np.stack([np.argmax(A == 1, 1), np.argmax(A == -1, 1)], 1).astype(np.int64)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+    assert np.all(got[:, 0] < got[:, 1])
 
 
 @pytest.mark.parametrize("spec, attempts", [
@@ -453,15 +457,13 @@ def test_geometric_ac_factors_each_attempt_once(monkeypatch, spec, attempts):
 @pytest.mark.parametrize("seed", (-1, 1.5, 2 ** 64))
 def test_geometric_graph_rejects_bad_seed(seed):
     with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
-        build_graph(GraphSpec("geometric", 10, seed=seed))
+        gen_ac_problem(GraphSpec("geometric", 10, seed=seed), np.zeros(10))
 
 
 def _fingerprint(made):
     if isinstance(made, Problem):
         return made.label, made.A.entries.tobytes(), made.b.tobytes(), made.x0_star.tobytes()
-    if isinstance(made, Matrix):
-        return made.entries.tobytes()
-    return made
+    return made.entries.tobytes()
 
 
 _DIMENSIONS = "dimensions must be positive whole numbers"
@@ -473,7 +475,7 @@ _GRAPH = "graph needs n >= 2, a whole number"
     (lambda k: gen_conditioned(k, 10, 20.0, 1), 30, _DIMENSIONS),
     (lambda k: gen_direction_adversarial(3, n=k), 40, _DIMENSIONS),
     (lambda k: gen_ac_problem(GraphSpec("line", k), np.arange(5.0)), 5, _GRAPH),
-    (lambda k: build_graph(GraphSpec("geometric", k)), 6, _GRAPH),
+    (lambda k: gen_ac_problem(GraphSpec("geometric", k), np.arange(6.0)), 6, _GRAPH),
 ], ids=["synthetic", "conditioned", "adversarial", "ac", "graph"])
 def test_generators_take_whole_number_float_sizes(make, size, error):
     # each float size once raised TypeError: 'float' object cannot be
@@ -485,11 +487,11 @@ def test_generators_take_whole_number_float_sizes(make, size, error):
 
 def test_graph_rejects_bad_spec():
     with pytest.raises(ValueError, match="unknown topology"):
-        build_graph(GraphSpec("star", 5))
+        gen_ac_problem(GraphSpec("star", 5), np.zeros(5))
     with pytest.raises(ValueError, match="graph needs n >= 2"):
-        build_graph(GraphSpec("line", 1))
+        gen_ac_problem(GraphSpec("line", 1), np.zeros(1))
     with pytest.raises(ValueError, match="radius must be positive"):
-        build_graph(GraphSpec("geometric", 5, radius=0.0))
+        gen_ac_problem(GraphSpec("geometric", 5, radius=0.0), np.zeros(5))
 
 
 def test_default_radius_value():
