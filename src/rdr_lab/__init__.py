@@ -1,8 +1,7 @@
 """Randomized r-sets Douglas-Rachford solvers for consistent linear systems."""
 
-from .linalg import (Matrix, SpectralScalars, SvdResult, project_row,
-                     projected_solution, reflect_row, spectral_scalars,
-                     svd_small)
+from .linalg import (Matrix, SpectralScalars, SvdResult, projected_solution,
+                     reflect_row, spectral_scalars, svd_small)
 from .problems import (GraphSpec, Problem, gen_ac_problem, gen_conditioned,
                        gen_direction_adversarial, gen_gaussian, gen_solution,
                        load_matrix_market, synthetic_problem,
@@ -18,7 +17,7 @@ from .theory import (MeanMap, RateReport, angle_expectation_half, delta1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Matrix", "SpectralScalars", "SvdResult", "project_row", "reflect_row",
+    "Matrix", "SpectralScalars", "SvdResult", "reflect_row",
     "svd_small", "spectral_scalars", "projected_solution",
     "Rng", "WeightedSampler",
     "GraphSpec", "Problem", "gen_gaussian", "gen_conditioned", "gen_solution",

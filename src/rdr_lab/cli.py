@@ -48,8 +48,7 @@ def _cmd_run(args) -> int:
     spec = _read_config(args.config)
     if args.seed is not None:
         spec.seed = args.seed
-    out_dir = args.out if args.out is not None else spec.out_dir
-    return _finish(run_experiment(spec, out_dir=out_dir), allow_divergence=True)
+    return _finish(run_experiment(spec, out_dir=args.out), allow_divergence=True)
 
 
 def _cmd_preset(args) -> int:

@@ -15,6 +15,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -266,14 +267,6 @@ class ExperimentResult:
     meta_path: Path
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rate_reports(spec: ExperimentSpec, problem: Problem) -> dict:
     """Closed-form rate reports of the rrdr and mrrdr configs, by label."""
     scal = spectral_scalars(problem.A)
@@ -327,28 +320,25 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     return result
 
 
-def _write_trace(path, label, runs):
+def _write_csv(path, columns, rows):
+    # csv writes None as an empty field and a float, numpy's too, by its repr
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for solver_label, trial, result in runs:
-            for rec in result.records:
-                writer.writerow([
-                    label, solver_label, trial, rec.k, rec.row_actions,
-                    _fmt(rec.rse), _fmt(rec.residual_norm2),
-                    _fmt(rec.dir_ratio), _fmt(rec.vmin_overlap),
-                ])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _write_trace(path, label, runs):
+    fields = attrgetter(*TRACE_COLUMNS[3:])  # TraceRecord fields
+    _write_csv(path, TRACE_COLUMNS, ((label, solver_label, trial, *fields(rec))
+                                     for solver_label, trial, result in runs
+                                     for rec in result.records))
 
 
 def _write_summary(path, label, runs):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for solver_label, trial, result in runs:
-            writer.writerow([
-                label, solver_label, trial, result.status, result.iterations,
-                result.row_actions, _fmt(result.rse),
-            ])
+    fields = attrgetter(*SUMMARY_COLUMNS[3:])  # RunResult attributes
+    _write_csv(path, SUMMARY_COLUMNS, ((label, solver_label, trial, *fields(result))
+                                       for solver_label, trial, result in runs))
 
 
 def _write_meta(path, spec, problem, rates, sigma_min, elapsed):
@@ -360,12 +350,12 @@ def _write_meta(path, spec, problem, rates, sigma_min, elapsed):
         f"problem.label = {problem.label}",
         f"problem.m = {problem.A.m}",
         f"problem.n = {problem.A.n}",
-        f"problem.frob_sq = {_fmt(problem.A.frob_sq)}",
+        f"problem.frob_sq = {problem.A.frob_sq}",
     ]
     for key, value in sorted(problem.info.items()):
         lines.append(f"problem.{key} = {value}")
     if sigma_min is not None:
-        lines.append(f"problem.sigma_min = {_fmt(sigma_min)}")
+        lines.append(f"problem.sigma_min = {sigma_min}")
     lines.append(
         "row_action_convention = rrdr/mrrdr/det-rsets-dr: one per reflection; "
         "rk: one per projection; rek: row plus column touch (2); rgs: one per "
@@ -373,7 +363,7 @@ def _write_meta(path, spec, problem, rates, sigma_min, elapsed):
     for label, report in sorted(rates.items()):
         for key in ("rate_thm1", "rate_thm2", "delta1", "delta2", "gamma1",
                     "gamma2", "q", "tau", "beta_max"):
-            lines.append(f"rates.{label}.{key} = {_fmt(getattr(report, key))}")
+            lines.append(f"rates.{label}.{key} = {getattr(report, key)}")
     # informational only; everything above is deterministic for a given seed
     lines.append(f"wall_clock_seconds = {elapsed:.3f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -93,23 +93,12 @@ def as_matrix(A) -> Matrix:
     return A if isinstance(A, Matrix) else Matrix(A)
 
 
-def project_row(x, a, b, norm_sq=None):
-    """Project ``x`` onto the hyperplane ``<a, y> = b``.
-
-    ``norm_sq`` may carry a precomputed ``<a, a>`` so solver loops can reuse
-    cached row norms; the formula is identical either way.
-    """
-    nrm = float(a @ a) if norm_sq is None else float(norm_sq)
-    if nrm <= 0.0:
-        raise ValueError("degenerate hyperplane")
-    return x - ((a @ x - b) / nrm) * a
-
-
 def reflect_row(x, a, b, norm_sq=None):
     """Reflect ``x`` through the hyperplane ``<a, y> = b``.
 
-    An involution and an isometry of distances to any point on the
-    hyperplane; equals ``2 * project_row(x, a, b) - x``.
+    ``x - 2 (<a, x> - b) / <a, a> * a``: an involution and an isometry of
+    distances to any point on the hyperplane.  ``norm_sq`` may carry a
+    precomputed ``<a, a>``; the formula is identical either way.
     """
     nrm = float(a @ a) if norm_sq is None else float(norm_sq)
     if nrm <= 0.0:

@@ -64,10 +64,9 @@ class Rng:
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
-    def uniform(self, size=None, out=None):
-        """Draw from U[0, 1); a scalar when ``size`` and ``out`` are None.
-        ``out`` is filled as ``uniform(out.size)`` would draw, and returned."""
-        return self._gen.random(size, out=out)
+    def uniform(self, size=None):
+        """Draw from U[0, 1); a scalar when ``size`` is None."""
+        return self._gen.random(size)
 
     def normal(self, size=None):
         """Draw standard normals (ziggurat method)."""

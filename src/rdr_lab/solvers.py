@@ -230,7 +230,7 @@ class _Lanes:
         iters = max(1, self.size // sum(per))
         u, start = np.empty(iters * sum(per)), 0
         for rng, c in zip(self.rngs, per):
-            rng._gen.random(out=u[start:start + iters * c])  # the call inside Rng.uniform
+            rng._gen.random(out=u[start:start + iters * c])  # the stream Rng.uniform draws
             start += iters * c
         drawn = self.samplers[0].lookup(u) if k == 1 else np.stack(
             [s.lookup(u[p::k]) for p, s in enumerate(self.samplers)], -1).reshape(-1)

@@ -192,6 +192,8 @@ class MeanMap:
         uses factor ``decay - beta`` per coordinate and the recurrence
         ``s_{k+1} = decay * s_k - beta * s_{k-1}`` afterwards.
         """
+        if (steps := _whole(steps)) is None or steps < 0:
+            raise ValueError("invalid parameter: steps must be a whole number >= 0")
         err0 = np.asarray(err0, dtype=np.float64)
         s = np.empty((steps + 1, err0.size))
         s[0] = self.V.T @ err0
@@ -204,8 +206,11 @@ class MeanMap:
 
 def _reflection_spectrum(mat, r: int):
     """``V`` and the eigenvalues of ``(I - 2 A^T A / frob_sq)**r`` in that
-    basis; 1 on the null directions past the singular values."""
+    basis; 1 on the null directions past the singular values.  Raises
+    ``zero matrix`` at rank 0, as :func:`spectral_scalars` does."""
     res = svd_small(mat)
+    if res.rank == 0:
+        raise ValueError("zero matrix")
     sig_sq = np.zeros(mat.n)
     sig_sq[:res.singular_values.size] = res.singular_values ** 2
     return res.V, (1.0 - 2.0 * sig_sq / mat.frob_sq) ** r
@@ -237,6 +242,8 @@ def enumerate_one_step(A, b, x, x_prev, alpha: float, beta: float, r: int):
     m = mat.m
     if m ** r > ENUM_BUDGET:
         raise ValueError("enumeration too large")
+    if mat.frob_sq == 0.0:
+        raise ValueError("zero matrix")
     x_ref = projected_solution(mat, b, x)
     weights = mat.row_norms_sq / mat.frob_sq
     arr = mat.entries

@@ -4,7 +4,7 @@ emission, figure presets, and the CLI exit-code contract."""
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,13 @@ from rdr_lab.harness import (
     parse_config,
     preset,
     run_experiment,
+    _write_meta,
+    _write_summary,
+    _write_trace,
 )
 from rdr_lab.linalg import spectral_scalars, svd_small
 from rdr_lab.problems import three_lines_failure_problem
-from rdr_lab.solvers import SolverConfig, StopRule
+from rdr_lab.solvers import RunResult, SolverConfig, StopRule, TraceRecord
 from rdr_lab.theory import rate_report
 
 MINIMAL = """
@@ -375,6 +378,45 @@ def test_run_experiment_byte_identical(tmp_path):
     assert meta_a == meta_b
 
 
+def test_csv_columns_are_record_attributes():
+    # each row is (experiment, solver, trial) and then its record's fields
+    assert TRACE_COLUMNS[:3] == SUMMARY_COLUMNS[:3] == ("experiment", "solver", "trial")
+    assert set(TRACE_COLUMNS[3:]) <= {f.name for f in fields(TraceRecord)}
+    assert set(SUMMARY_COLUMNS[3:]) <= {f.name for f in fields(RunResult)}
+
+
+def _write_all(tmp_path, num, integer):
+    """The trace, summary and meta text of one run whose values are ``num``
+    and ``integer`` applied to Python scalars."""
+    rec = TraceRecord(k=integer(3), row_actions=integer(6), rse=num(0.25),
+                      residual_norm2=num(0.1), dir_ratio=None, vmin_overlap=num(1e-17))
+    res = RunResult(status="converged", iterations=integer(3), row_actions=integer(6),
+                    rse=num(0.25), x=None, records=[rec], state=None)
+    spec = _tiny_spec(tmp_path)
+    problem = three_lines_failure_problem()
+    report = rate_report(spectral_scalars(problem.A), 0.5, 0.0, 3)
+    report = replace(report, **{key: num(getattr(report, key)) for key in
+                                ("rate_thm1", "rate_thm2", "q", "beta_max")})
+    _write_trace(tmp_path / "trace.csv", "tiny", [("rrdr", 0, res)])
+    _write_summary(tmp_path / "summary.csv", "tiny", [("rrdr", 0, res)])
+    _write_meta(tmp_path / "meta.txt", spec, problem, {"rrdr": report}, num(0.5), 0.0)
+    return [(tmp_path / name).read_text()
+            for name in ("trace.csv", "summary.csv", "meta.txt")]
+
+
+def test_writers_write_numpy_scalars_as_python_scalars(tmp_path):
+    (tmp_path / "py").mkdir()
+    (tmp_path / "np").mkdir()
+    want = _write_all(tmp_path / "py", float, int)
+    got = _write_all(tmp_path / "np", np.float64, np.int64)
+    assert got == want
+    trace, summary, meta = got
+    assert trace.splitlines()[1] == "tiny,rrdr,0,3,6,0.25,0.1,,1e-17"
+    assert summary.splitlines()[1] == "tiny,rrdr,0,converged,3,6,0.25"
+    assert "rates.rrdr.rate_thm1 = 0.5\n" in meta
+    assert "problem.sigma_min = 0.5\n" in meta
+
+
 def test_run_experiment_identity_rk_budget(tmp_path):
     # alternating projections on an identity system: each action zeroes one
     # error coordinate, so 2*ceil(log(tol)/log(0.5)) = 80 actions is generous
@@ -572,6 +614,13 @@ def test_cli_run_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status=converged" in out
     assert (tmp_path / "out" / "cli-smoke_trace.csv").is_file()
+
+
+def test_cli_run_writes_to_the_config_out_without_out_flag(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(RUN_CONFIG + f"out = {tmp_path / 'from-config'}\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
+    assert (tmp_path / "from-config" / "cli-smoke_summary.csv").is_file()
 
 
 def test_cli_run_missing_file(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from rdr_lab.linalg import (
     Matrix,
     as_matrix,
-    project_row,
     projected_solution,
     rank_threshold,
     reflect_row,
@@ -60,34 +59,8 @@ def test_matrix_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# projection / reflection
+# reflection
 # ---------------------------------------------------------------------------
-
-
-def test_project_hand_case():
-    y = project_row(np.array([3.0, 4.0]), np.array([1.0, 0.0]), 0.0)
-    np.testing.assert_allclose(y, [0.0, 4.0], atol=1e-15)
-
-
-def test_project_fixed_point():
-    a = np.array([1.0, 2.0, -1.0])
-    x = np.array([0.5, 1.0, 2.5])  # already satisfies <a, x> = 0
-    y = project_row(x, a, float(a @ x))
-    np.testing.assert_allclose(y, x, atol=1e-15)
-
-
-def test_project_extended_precision_oracle():
-    rng = _rng(7)
-    for _ in range(200):
-        a = rng.standard_normal(5)
-        x = rng.standard_normal(5)
-        b = float(rng.standard_normal())
-        y = project_row(x, a, b)
-        al, xl = a.astype(np.longdouble), x.astype(np.longdouble)
-        ref = xl - ((al @ xl - np.longdouble(b)) / (al @ al)) * al
-        assert np.abs(y - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
-        # the projected point lies on the hyperplane and moves along a only
-        assert abs(a @ y - b) <= 1e-10 * (1.0 + abs(b))
 
 
 def test_reflect_hand_case():
@@ -102,13 +75,11 @@ def test_reflect_is_double_projection():
         x = rng.standard_normal(6)
         b = float(rng.standard_normal())
         lhs = reflect_row(x, a, b) + x
-        rhs = 2.0 * project_row(x, a, b)
+        rhs = 2.0 * (x - ((a @ x - b) / (a @ a)) * a)  # twice the projection
         assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + np.abs(rhs).max())
 
 
 def test_degenerate_hyperplane():
-    with pytest.raises(ValueError, match="degenerate hyperplane"):
-        project_row(np.ones(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError, match="degenerate hyperplane"):
         reflect_row(np.ones(3), np.zeros(3), 1.0)
 

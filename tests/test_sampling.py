@@ -55,12 +55,13 @@ def test_rng_golden_uniforms():
 
 
 def test_rng_uniform_fills_out_as_one_draw():
+    # the lanes' refill fills slices through the generator's random(out=):
     # slices filled in turn hold the draws of one uniform(size) call, in
     # order, and the stream goes on from the same place
     whole, parts = Rng(99), Rng(99)
     want, got = whole.uniform(1000), np.empty(1000)
     for start, stop in ((0, 1), (1, 300), (300, 300), (300, 301), (301, 1000)):
-        filled = parts.uniform(out=got[start:stop])
+        filled = parts._gen.random(out=got[start:stop])
         np.testing.assert_array_equal(filled, got[start:stop])
     assert got.tobytes() == want.tobytes()
     assert parts.uniform() == whole.uniform()

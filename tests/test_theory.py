@@ -321,6 +321,31 @@ def test_mean_map_trajectory_cold_start():
     np.testing.assert_allclose(traj[2], mm.apply(traj[1], traj[0]), atol=1e-12)
 
 
+def test_mean_map_trajectory_runs_a_whole_float_step_count():
+    mm = mean_map(gen_gaussian(4, 3, 79).entries, 0.5, 0.3, 2)
+    err0 = Rng(9).normal(3)
+    assert mm.trajectory(err0, 3.0).tobytes() == mm.trajectory(err0, 3).tobytes()
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, math.nan, "3"])
+def test_mean_map_trajectory_rejects_a_step_count_that_is_not_whole(steps):
+    # -1 raised IndexError and 2.5 TypeError
+    mm = mean_map(gen_gaussian(4, 3, 79).entries, 0.5, 0.3, 2)
+    with pytest.raises(ValueError, match="steps must be a whole number >= 0"):
+        mm.trajectory(np.ones(3), steps)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda A: mean_map(A, 0.5, 0.2, 2),
+    lambda A: angle_expectation_half(A, np.ones(3), np.zeros(3), 1),
+    lambda A: enumerate_one_step(A, np.zeros(2), np.ones(3), np.ones(3), 0.5, 0.0, 1),
+], ids=["mean_map", "angle_expectation_half", "enumerate_one_step"])
+def test_oracles_reject_a_zero_matrix(oracle):
+    # each divided by frob_sq = 0: a RuntimeWarning, then nan or a zero mean
+    with pytest.raises(ValueError, match="zero matrix"):
+        oracle(np.zeros((2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # enumeration oracles
 # ---------------------------------------------------------------------------
