@@ -236,13 +236,12 @@ def build_problem(pspec: ProblemSpec, seed: int) -> Problem:
     return _SOURCES[pspec.source](pspec, seed)
 
 
-def compute_direction_metrics(x, problem: Problem, v_min):
+def compute_direction_metrics(e, problem: Problem, v_min):
     """Direction diagnostics of the current error ``e = x - x0_star``.
 
     Returns ``(|A e| / |e|, |<e/|e|, v_min>|)``; both zero when the error
     vanished and no direction is defined.
     """
-    e = np.asarray(x, dtype=np.float64) - problem.x0_star
     nrm = math.sqrt(float(e @ e))
     if nrm == 0.0:
         return 0.0, 0.0
@@ -291,7 +290,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         svd = svd_small(problem.A)
         v_min = svd.V[:, svd.rank - 1]
         sigma_min = float(svd.singular_values[svd.rank - 1])
-        metrics_fn = lambda x: compute_direction_metrics(x, problem, v_min)
+        metrics_fn = lambda e: compute_direction_metrics(e, problem, v_min)
 
     t_start = time.perf_counter()
     trials = [(config.label(), trial, replace(

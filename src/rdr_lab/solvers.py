@@ -99,17 +99,18 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable per-trial state; owned by exactly one run."""
+    """Mutable per-trial state; owned by exactly one run.  Its vectors in
+    ``R^n`` are errors ``e = x - x0_star``: the iterate is ``e + x0_star``."""
 
-    x: np.ndarray
-    x_prev: np.ndarray | None = None
+    e: np.ndarray
+    e_prev: np.ndarray | None = None
     z_aux: np.ndarray | None = None     # extended-Kaczmarz auxiliary sequence
     mu: np.ndarray | None = None        # ADMM multiplier
-    residual: np.ndarray | None = None  # A x - b, maintained incrementally
+    residual: np.ndarray | None = None  # A e (A x - b), maintained incrementally
     k: int = 0
     row_actions: int = 0
     cyclic_cursor: int = 0
-    z_last: np.ndarray | None = None    # last reflected point, for diagnostics
+    z_last: np.ndarray | None = None    # last reflected error, for diagnostics
 
 
 @dataclass
@@ -143,7 +144,7 @@ class Runs(tuple):
 # a block's rows: SolverState arrays, parameters, row actions an iteration,
 # streams, drawn indices; take skips z_last, which the next update rewrites
 # before any exit
-_LANE_ARRAYS = ("x", "x_prev", "z_aux", "mu", "residual", "z_last")
+_LANE_ARRAYS = ("e", "e_prev", "z_aux", "mu", "residual", "z_last")
 _PER_LANE = _LANE_ARRAYS[:-1] + ("r", "alpha", "stay", "beta", "penalty", "per", "rngs", "drawn")
 
 
@@ -167,20 +168,20 @@ class _Lanes:
     stream, about ``size`` uniforms for all lanes at a time, into its own
     stretch of one flat block; PCG64 fills ``random(out=...)`` exactly as it
     draws ``random(size)`` or ``size`` scalars.  The averaging weights are
-    blocks of the shape of ``x``; a lane exit compacts them with every other
+    blocks of the shape of ``e``; a lane exit compacts them with every other
     per-lane block, the drawn indices included."""
 
     def __init__(self, problem: Problem, start: SolverState, configs, rngs, size: int):
         # every lane starts from its own copy of start's rows
         count, method = len(configs), _METHODS[configs[0].method]
         self.k, self.cyclic_cursor = start.k, start.cyclic_cursor
-        for name in ("x", "z_aux", "mu", "residual"):
+        for name in ("e", "z_aux", "mu", "residual"):
             row = getattr(start, name)
             setattr(self, name, None if row is None else row[None].repeat(count, 0))
-        # a method with momentum carries the previous iterate, x at a cold start
-        self.x_prev = (start.x if start.x_prev is None else start.x_prev)[None].repeat(
+        # a method with momentum carries the previous error, e at a cold start
+        self.e_prev = (start.e if start.e_prev is None else start.e_prev)[None].repeat(
             count, 0) if "beta" in method.reads else None
-        # a column of each parameter the method reads, but x's shape for the
+        # a column of each parameter the method reads, but e's shape for the
         # averaging weights: a product with a column runs one loop per row
         for name in _TAGS:
             col = np.array([[getattr(c, name)] for c in configs]) \
@@ -197,10 +198,10 @@ class _Lanes:
 
     def _derive(self):
         # the fields that follow from the lanes' parameters; where each lane's
-        # row starts in the flat x and z_aux (reshaping them must not copy)
-        assert self.x.flags.c_contiguous
-        self.x_at, self.z_at = (None if rows is None else np.arange(0, rows.size, rows.shape[1])
-                                for rows in (self.x, self.z_aux))
+        # row starts in the flat e and z_aux (reshaping them must not copy)
+        assert self.e.flags.c_contiguous
+        self.e_at, self.z_at = (None if rows is None else np.arange(0, rows.size, rows.shape[1])
+                                for rows in (self.e, self.z_aux))
         if self.r is not None:
             # prefix[j] = the number of lanes with r > j
             self.prefix = np.bincount(self.r[:, 0])[:0:-1].cumsum()[::-1].tolist()
@@ -243,12 +244,13 @@ class _Lanes:
         self.i = 0
 
 
-# Updates: one iteration of every lane, given the indices it drew.  Dots are
+# Updates: one iteration of every lane, given the indices it drew, on errors
+# (a·x - b_i is a·e: only rek's z_aux, which starts at b, holds b).  Dots are
 # np.vecdot over rows gathered from A or Aᵀ (A.columns), which sums each lane
 # as ndarray.dot does (both call the BLAS ddot), and each elementwise operation
 # keeps the order of the one-trial formula, so no lane's bits depend on others.
 # Each but rp-admm's, whose batches are one sweep, puts its results in new
-# arrays (``x - a``, not ``x -= a``: the same IEEE operation), never in a lane
+# arrays (``e - a``, not ``e -= a``: the same IEEE operation), never in a lane
 # array that a batch's snapshot may hold.
 
 
@@ -256,28 +258,28 @@ def _dr_update(lanes: _Lanes, problem: Problem, rows):
     """Reflect each lane through its rows in order (one index for all lanes,
     or indices of the leading lanes), then average with weight alpha and add
     beta times the last move."""
-    A, b, rn = problem.A.entries, problem.b, problem.A.row_norms_sq
-    x = z = lanes.x
+    A, rn = problem.A.entries, problem.A.row_norms_sq
+    e = z = lanes.e
     for j in rows:
         zj = z if isinstance(j, int) else z[:len(j)]
         a = A.take(j, 0)
-        c = np.vecdot(a, zj) - b[j]
+        c = np.vecdot(a, zj)
         f = ((c + c) / rn[j])[:, None]  # c + c is 2.0 * c, bit for bit
         # the gathered rows of an index array are scaled in place; one row
         # of all lanes is scaled into a new block
         step = np.multiply(a, f, out=a if a.ndim == 2 else None)
-        if z is x:  # the first reflection covers every lane
-            z = x - step
+        if z is e:  # the first reflection covers every lane
+            z = e - step
         else:
             zj -= step
-    out = x * lanes.stay
+    out = e * lanes.stay
     out += z * lanes.alpha
     if lanes.beta is not None:
-        move = x - lanes.x_prev
+        move = e - lanes.e_prev
         move *= lanes.beta
         out += move
-        lanes.x_prev = x
-    lanes.x, lanes.z_last = out, z
+        lanes.e_prev = e
+    lanes.e, lanes.z_last = out, z
     lanes.k += 1
 
 
@@ -287,13 +289,13 @@ def _cyclic_dr(lanes: _Lanes, problem: Problem, drawn):
 
 
 def _project(lanes: _Lanes, problem: Problem, i, shift=None):
-    # each lane onto its row i of A x = b, with b[i] corrected by shift
+    # each lane onto its row i of A e = 0, moved by shift to a·e = -shift
     a = problem.A.entries.take(i, 0)
-    c = np.vecdot(a, lanes.x) - problem.b[i]
+    c = np.vecdot(a, lanes.e)
     if shift is not None:
         c += shift
     a *= (c / problem.A.row_norms_sq[i])[:, None]
-    lanes.x = lanes.x - a
+    lanes.e = lanes.e - a
     lanes.k += 1
 
 
@@ -304,9 +306,9 @@ def _rek_update(lanes: _Lanes, problem: Problem, drawn):
     _project(lanes, problem, i, z.reshape(-1)[lanes.z_at + i])
 
 
-def _residuals(problem: Problem, x) -> np.ndarray:
-    # one matrix-vector product per lane, as ``A @ x`` computes it
-    return np.matmul(problem.A.entries, x[:, :, None])[:, :, 0] - problem.b
+def _residuals(problem: Problem, e) -> np.ndarray:
+    # one matrix-vector product per lane, as ``A @ e`` computes it
+    return np.matmul(problem.A.entries, e[:, :, None])[:, :, 0]
 
 
 def _rgs_update(lanes: _Lanes, problem: Problem, drawn):
@@ -314,13 +316,13 @@ def _rgs_update(lanes: _Lanes, problem: Problem, drawn):
     j, res = drawn[:, 0], lanes.residual
     col = problem.A.columns.take(j, 0)
     delta = -np.vecdot(col, res) / problem.A.col_norms_sq[j]
-    lanes.x = lanes.x.copy()
-    lanes.x.reshape(-1)[lanes.x_at + j] += delta
+    lanes.e = lanes.e.copy()
+    lanes.e.reshape(-1)[lanes.e_at + j] += delta
     lanes.residual = res + col * delta[:, None]
     lanes.k += 1
     if lanes.k % RGS_RECOMPUTE_EVERY == 0:
         # cap incremental drift with a periodic full recompute
-        lanes.residual = _residuals(problem, lanes.x)
+        lanes.residual = _residuals(problem, lanes.e)
 
 
 def _rp_admm_update(lanes: _Lanes, problem: Problem, rngs):
@@ -334,7 +336,7 @@ def _rp_admm_update(lanes: _Lanes, problem: Problem, rngs):
     j = j.T[live.T].reshape(width, -1).T
     cn, delta = A.col_norms_sq[j], np.empty(j.shape)
     # only the residual carries a step to the next: columns and multiplier dots
-    # come DRAW_BLOCK elements at a time; x, each element moved once at most,
+    # come DRAW_BLOCK elements at a time; e, each element moved once at most,
     # takes the moves at the end
     mu_over_pen, steps = lanes.mu / lanes.penalty, max(1, DRAW_BLOCK // (A.m * width))
     for s0 in range(0, len(j), steps):
@@ -342,9 +344,9 @@ def _rp_admm_update(lanes: _Lanes, problem: Problem, rngs):
         for s, col, dot in zip(range(s0, len(j)), cols, np.vecdot(cols, mu_over_pen)):
             step = delta[s] = -(np.vecdot(col, res) - dot) / cn[s]
             res += col * step[:, None]
-    lanes.x.reshape(-1)[j + lanes.x_at] += delta
+    lanes.e.reshape(-1)[j + lanes.e_at] += delta
     # refresh before the multiplier step so incremental drift cannot build up
-    lanes.residual = _residuals(problem, lanes.x)
+    lanes.residual = _residuals(problem, lanes.e)
     lanes.mu -= lanes.residual
     lanes.k += 1
 
@@ -388,24 +390,25 @@ cyclic_dr_step = det_rsets_dr_step = rp_admm_step = _step
 
 
 def init_state(problem: Problem, config: SolverConfig) -> SolverState:
-    """Per-method state setup from the problem's start point."""
-    x = problem.x0.astype(np.float64).copy()
-    state = SolverState(x=x)
+    """Per-method state setup at the start point's error ``x0 - x0_star``."""
+    e = problem.x0 - problem.x0_star
+    state = SolverState(e=e)
     if "beta" in _METHODS[config.method].reads:
-        state.x_prev = x.copy()  # cold start: previous iterate equals x0
+        state.e_prev = e.copy()  # cold start: the previous error is e0
     if config.method == "rek":
-        state.z_aux = problem.b.astype(np.float64).copy()
+        state.z_aux = problem.b.copy()
     if config.method in ("rgs", "rp-admm"):
-        state.residual = problem.A.entries @ x - problem.b
+        state.residual = problem.A.entries @ e
     if config.method == "rp-admm":
         state.mu = np.zeros(problem.A.m)
     return state
 
 
-def _record(problem: Problem, metrics_fn, k: int, row_actions: int, x, rse: float):
-    resid = problem.A.entries @ x - problem.b
+def _record(problem: Problem, metrics_fn, k: int, row_actions: int, e, rse: float):
+    # the residual of the iterate against the given b
+    resid = problem.A.entries @ (e + problem.x0_star) - problem.b
     return TraceRecord(k, row_actions, rse, float(np.sqrt(resid @ resid)),
-                       *(() if metrics_fn is None else metrics_fn(x)))
+                       *(() if metrics_fn is None else metrics_fn(e)))
 
 
 def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
@@ -415,10 +418,11 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     config)`` runs one.  ``config.seed`` fixes a trial's trajectory whatever
     the other configs: it is the one that ``init_state`` and successive calls
     of the method's step function on ``Rng(config.seed)`` give.
-    ``metrics_fn`` maps an iterate to ``(dir_ratio, vmin_overlap)`` for the
-    trace records.  Returns one RunResult per config, in argument order; the
-    relative squared error (RSE) is measured against the projection of the
-    start point onto the solution set.
+    ``metrics_fn`` maps an error ``e = x - x0_star`` to ``(dir_ratio,
+    vmin_overlap)`` for the trace records.  Returns one RunResult per config,
+    in argument order; the relative squared error (RSE) is ``|e|² / |e_0|²``,
+    with ``x0_star`` the projection of the start point onto the solution set.
+    The lanes solve ``A e = 0``; ``RunResult.x`` and the trace are in ``x``.
 
     Each trial is a lane of the block, and its stop bounds and trace cadence
     are lane arrays beside the block's rows.  The lanes advance in batches of
@@ -443,11 +447,10 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     order = sorted(range(len(configs)), key=lambda i: -configs[i].r)
     group = [configs[i] for i in order]
     start = init_state(problem, group[0])
-    d = start.x - problem.x0_star
-    den = float(d @ d)  # finite, as Problem checks
+    den = float(start.e @ start.e)  # finite, as Problem checks
     rse0 = 1.0 if den > 0.0 else 0.0
     # each config's trace, by its place in the call, from one k = 0 record
-    first = _record(problem, metrics_fn, 0, 0, start.x, rse0)
+    first = _record(problem, metrics_fn, 0, 0, start.e, rse0)
     records = {p: [first] for p in order}
     lanes = _Lanes(problem, start, group, [Rng(c.seed) for c in group], DRAW_BLOCK)
     # each lane's stop state: its config's place in the call; its RSE bound
@@ -467,9 +470,6 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
     # a batch's snapshots and their RSEs, a row an iteration, and the
     # snapshot at which each lane was tested; the start is a batch of one
     snaps, rse, at = [_snap(lanes)], np.full((1, len(group)), rse0), np.zeros(len(group), int)
-    # x0_star as many times as a batch has iterate rows at most (see cap): a
-    # subtraction without broadcast took 16 against 23 us at 500 lanes of n = 50
-    x0_star = np.tile(problem.x0_star, (max(len(group), (DRAW_BLOCK // 4) // problem.A.n), 1))
     while True:
         # results of the lanes that ended, and a block of the others; no name
         # but snaps holds a snapshot, whose blocks would outlive the lane exits
@@ -478,9 +478,9 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
             state = _lane_state(snaps[at[i]], i, k * int(lanes.per[i]))
             if records[p][-1].k != k:
                 records[p].append(_record(problem, metrics_fn, k, state.row_actions,
-                                          state.x, r))
-            results[p] = RunResult(status, k, state.row_actions, r, state.x,
-                                   records[p], state)
+                                          state.e, r))
+            results[p] = RunResult(status, k, state.row_actions, r,
+                                   state.e + problem.x0_star, records[p], state)
         if len(ended) == len(pos):
             return Runs(results)
         if ended:
@@ -497,16 +497,15 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
         # grows a diverging error about 1/penalty-fold, so it tests each sweep
         due = np.minimum(end, np.ceil(trace / lanes.per))
         next_due, top, flagged, ended = float(due.min()), tol.max(), [], {}
-        cap = 1 if method == "rp-admm" else min(BATCH, max(1, (DRAW_BLOCK // 4) // lanes.x.size))
+        cap = 1 if method == "rp-admm" else min(BATCH, max(1, (DRAW_BLOCK // 4) // lanes.e.size))
         while len(flagged) == 0:
             snaps = []
             for _ in range(cap if lanes.k + cap <= next_due else int(next_due) - lanes.k):
                 update(lanes, problem, lanes.draw())
                 snaps.append(_snap(lanes))
-            # the iterates, snap[2], less x0_star
-            d = (np.concatenate([snap[2] for snap in snaps]) if len(snaps) > 1
-                 else snaps[0][2]) - x0_star[:len(snaps) * len(pos)]
-            rse = np.vecdot(d, d)
+            # the errors, snap[2]
+            e = np.concatenate([snap[2] for snap in snaps]) if len(snaps) > 1 else snaps[0][2]
+            rse = np.vecdot(e, e)
             rse /= den
             # unless these fail, no lane can end or need a record
             if lanes.k < next_due and np.maximum.reduce(rse) <= DIVERGENCE_RSE \
@@ -532,5 +531,5 @@ def run(problem: Problem, *configs: SolverConfig, metrics_fn=None) -> Runs:
             else:  # a trace record is due, at the batch's last iteration
                 actions = k * int(lanes.per[i])
                 records[pos[i]].append(_record(problem, metrics_fn, k, actions,
-                                               lanes.x[i], r))
+                                               lanes.e[i], r))
                 trace[i] = (actions // every[i] + 1) * every[i]

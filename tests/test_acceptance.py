@@ -70,14 +70,13 @@ def test_criterion_02_reflected_point_norm_preservation():
         worst = 0.0
         for s in range(10):
             problem = synthetic_problem(50, 20, 6000 + s)
-            target = problem.x0_star
             for j in range(10):
                 rng = Rng(731 * s + j)
                 state = init_state(problem, cfg)
                 for _ in range(200):
-                    before = float(np.linalg.norm(state.x - target))
+                    before = float(np.linalg.norm(state.e))
                     state = rrdr_step(state, problem, cfg, rng)
-                    after = float(np.linalg.norm(state.z_last - target))
+                    after = float(np.linalg.norm(state.z_last))
                     worst = max(worst, abs(after - before) / before)
         assert worst <= 1e-9
 
@@ -135,8 +134,7 @@ def test_criterion_04_mean_square_rate_envelope():
         spec = spectral_scalars(problem.A)
         rate = rate_thm1(spec, 0.5, 2)
         cfg = SolverConfig(method="rrdr", r=2, alpha=0.5)
-        target = problem.x0_star
-        diff0 = problem.x0 - target
+        diff0 = problem.x0 - problem.x0_star
         d0 = float(diff0 @ diff0)
         trials, steps = 500, 30
         meta = Rng(20240042)
@@ -146,8 +144,7 @@ def test_criterion_04_mean_square_rate_envelope():
             state = init_state(problem, cfg)
             for k in range(steps):
                 state = rrdr_step(state, problem, cfg, rng)
-                diff = state.x - target
-                sq[t, k] = float(diff @ diff)
+                sq[t, k] = float(state.e @ state.e)
         mean = sq.mean(axis=0)
         se = sq.std(axis=0, ddof=1) / math.sqrt(trials)
         for k in range(1, steps + 1):
@@ -328,7 +325,7 @@ def test_criterion_11_semiconvergence_diagnostics():
             method="rrdr", r=3, alpha=0.5, seed=1, trace_every=250,
             stop=StopRule(rse_tol=1e-12, max_row_actions=30_000))
         (out,) = run(problem, cfg,
-                  metrics_fn=lambda x: compute_direction_metrics(x, problem,
+                  metrics_fn=lambda e: compute_direction_metrics(e, problem,
                                                                  v_min))
         first, last = out.records[0], out.records[-1]
         assert first.k == 0
@@ -383,8 +380,8 @@ def test_criterion_12_baseline_sanity():
         cfg = SolverConfig(method="rp-admm", penalty=1.0,
                            stop=StopRule(rse_tol=None, max_iterations=1))
         state = init_state(problem, cfg)
-        state.x = problem.x0 + meta.child(999).normal(n)
-        state.residual = arr @ state.x - problem.b
+        state.e = problem.x0 - problem.x0_star + meta.child(999).normal(n)
+        state.residual = arr @ state.e
         arr_ld = arr.astype(np.longdouble)
 
         checked = 0
@@ -392,28 +389,28 @@ def test_criterion_12_baseline_sanity():
         sweep = 0
         while checked < 100:
             seed = meta.child(sweep).seed
-            x_before = state.x.copy()
+            e_before = state.e.copy()
             res_before = state.residual.copy()
             mu_before = state.mu.copy()
             perm = Rng(seed).permutation(n)
             rp_admm_step(state, problem, cfg, Rng(seed))
 
-            x_path = x_before.astype(np.longdouble)
+            e_path = e_before.astype(np.longdouble)
             res_path = res_before.astype(np.longdouble)
             mu_ld = mu_before.astype(np.longdouble)
             for j in perm:
                 col = arr_ld[:, j]
-                base = res_path - x_path[j] * col
+                base = res_path - e_path[j] * col
 
                 def objective(t, base=base, col=col, mu=mu_ld):
                     resid = base + t * col
                     return np.longdouble(0.5) * (resid @ resid) - mu @ resid
 
-                written = float(state.x[j])
+                written = float(state.e[j])
                 t_opt = _golden_min(objective, written - 0.5, written + 0.5)
                 worst = max(worst, abs(t_opt - written))
                 res_path = base + np.longdouble(written) * col
-                x_path[j] = written
+                e_path[j] = written
                 checked += 1
                 if checked >= 100:
                     break

@@ -7,7 +7,10 @@ runs lanes of several r, with and without momentum, in one block.
 ``_meta.txt`` is left out because it records ``wall_clock_seconds``.
 
 A refactor of the solvers or the harness either keeps these digests or
-updates them on purpose, with the reason recorded in CHANGES.md.
+updates them on purpose, with the reason recorded in CHANGES.md.  A second
+digest per slice covers only the summary's solver, trial, status, iterations
+and row-action columns, which rounding does not move: a change that moves
+only rounding shows as bytes moved, counts held.
 
 The digests were computed with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64,
 DYNAMIC_ARCH build), Python 3.11.  Another BLAS build may sum dot products in
@@ -26,6 +29,7 @@ the BLAS thread count: the trace digest differs between
 ``OPENBLAS_NUM_THREADS=1`` and ``2``.  Its summary does not.
 """
 
+import csv
 import hashlib
 from dataclasses import replace
 
@@ -46,24 +50,36 @@ R_SWEEP_RS = (1, 2, 7, 20)
 # r values of fig-direction kept, one trial each: the r = 1 lane runs alone,
 # on the adversarial source, after the other lanes spend their budgets
 DIRECTION_RS = (1, 2, 20)
-DIRECTION_SUMMARY = "1dd98ae468d1fca113ec3fafbded4d789c3de1a92ff672a895166d14f0fecbf0"
+DIRECTION_SUMMARY = "deef7b0df4c8918465ae7dd35ead142d8c9f014058bdb366702336f4e3c15fad"
 
 GOLDEN = {
     "fig-failure": (
         "11d38defc6ab1c41db1a1c20d6c578efc2c6147e14026008c424a17400ecd2e8",
         "b8636c7bdf076fef07112f3fe702c3da545c2f29ccaaaef4ab2f7e14b4549dd7"),
     "fig-baselines": (
-        "cab748371046e7e17aab9c489198f1ad7480155c1421c8afc8971550a694a92e",
-        "a96352527f058552e0518806a978dd52a09e9100067da501a2e4f5fca37779c0"),
+        "5722356f2ca6a37d6d5d69ba457e01918deceb30d4536e9ad050282eaa1c5744",
+        "13e6afce03a119e276397a719af97e2baf13334b9d7c18645462c1c1f9527eb9"),
     "fig-vs-cyclic": (
-        "3d165fa9f90f1d81d7ced5e76db6659f6e44b986e06469da05fa1dc2bbea91f7",
-        "c125bed1a78f3350e07a0ffc1f5339a89ccc7960f02b5c0b98ce42b855d07678"),
+        "80910730f7527b3a17e2265bc53ccb98e6fce34f041d30afcce3004eb0a135f8",
+        "60d0728a772951a13b487861bcbe9710080ac087178023ab48b10cc64db29748"),
     "fig-r-sweep": (
-        "de8c5acf2e8e997d146836d30fd34cc1dc8a50c5556f04afe752f4ae48e65517",
-        "9062ea3f5922e8cb1ee785d92c79bc63b782081965e9cee0566ee24667bb07ac"),
+        "2db265f001d7f0ae948bc28ce48f03493d32364e1997848f34d6ebb0de5c7ac2",
+        "e351075cbffdf35d18d43d0826c8e3310fc3cdca6cfa1564f1180b2c6e4a4064"),
     "fig-param-sweep": (
-        "4b1edc0a8ba33b9404cdeec2a987ea782ca88203b0c1b1e65a5d29e3380251e6",
-        "5c93297d5ab8cb80a8bfd14d9dee2e45183d0f3f60a7564a74cba82391ebc7a1"),
+        "5df82f388e797e9362edcab051d6809b2845be22fa1dcfa3db2a2b753db01e4d",
+        "5c31ae8eef2ee0cd21420385d7328a6cf69e19b4a16fbe014b24067fcefd405f"),
+}
+
+
+# sha256 of the COUNT_COLUMNS of each slice's summary, a line a row
+COUNT_COLUMNS = ("solver", "trial", "status", "iterations", "row_actions")
+COUNTS = {
+    "fig-baselines": "b69ab22d148e386d04c7972e2e63bd76bb3ec283795c3c422da0eb06c50e5a62",
+    "fig-direction": "ae65786347cadcd1b634124538816a100cfff080f4c0daf8b299f8e477be9dc4",
+    "fig-failure": "3a94e4730075025b45044fe73f1dec032b95c19545b6955b1b869dcf9506bc9e",
+    "fig-param-sweep": "c5c9a3afd4cc2667bc919b9f44d9d1a3d6f371fcd49ad85ba5730336dc3c8693",
+    "fig-r-sweep": "747a89293941226530ab8d6f927fef326745b8d7739f8f81153e25634e575bce",
+    "fig-vs-cyclic": "79ca58ac4c72c2a0a707e5fb1044e2568be3c43b614c997fa7ec3725c69d5608",
 }
 
 
@@ -96,14 +112,29 @@ def test_golden_csv_digests(name, outputs):
         == GOLDEN[name]
 
 
-def test_direction_summary_digest(tmp_path):
+@pytest.fixture(scope="module")
+def direction(tmp_path_factory):
     spec = preset("fig-direction", seed=SEED)
     spec.configs = [c for c in spec.configs if c.r in DIRECTION_RS]
-    result = run_experiment(spec, out_dir=tmp_path)
+    return spec, run_experiment(spec, out_dir=tmp_path_factory.mktemp("direction"))
+
+
+def test_direction_summary_digest(direction):
+    spec, result = direction
     iterations = {config.r: res.iterations
                   for config, (_, _, res) in zip(spec.configs, result.runs)}
     assert iterations[1] > max(iterations[r] for r in DIRECTION_RS[1:])
     assert _sha256(result.summary_path) == DIRECTION_SUMMARY
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_preset_statuses_and_counts_digest(name, request):
+    # the runs of the byte-digest tests, read for the columns rounding keeps
+    _, result = request.getfixturevalue("direction") if name == "fig-direction" \
+        else request.getfixturevalue("outputs")[name]
+    with open(result.summary_path, newline="") as f:
+        lines = [",".join(row[c] for c in COUNT_COLUMNS) for row in csv.DictReader(f)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COUNTS[name]
 
 
 def test_golden_inputs_reach_every_method_and_status(outputs):

@@ -109,6 +109,34 @@ def test_problem_consistency_invariant():
         assert np.linalg.norm(p.A.entries @ p.x0_star - p.b) <= 1e-9 * (1.0 + bnorm)
 
 
+# the solvers carry e = x - x0_star and solve A e = 0, which is A x = b up to
+# |A x0_star - b|.  On the sources' problems that is a rounding floor of at
+# most ROUNDING_FLOOR eps |A|_F max(1, |x0_star|_inf): the seeds below read at
+# most 2.3 (synthetic 8x12, seed 2), about 1 on conditioned at ratio 1e4, and
+# exactly 0 where x0_star and b are built exactly (ac, three-lines, adversarial)
+ROUNDING_FLOOR = 4.0
+
+
+@pytest.mark.parametrize("make, exact", [
+    *(pytest.param(lambda s=s, m=m, n=n: synthetic_problem(m, n, s), False,
+                   id=f"synthetic-{m}x{n}-{s}")
+      for s in (0, 1, 2) for m, n in ((200, 50), (8, 12))),
+    *(pytest.param(lambda s=s: conditioned_problem(500, 100, 1e4, s), False,
+                   id=f"conditioned-1e4-{s}") for s in (2024, 2025, 2026)),
+    *(pytest.param(lambda s=s, t=t: gen_ac_problem(GraphSpec(topology=t, n=50, seed=777 + s),
+                                                   Rng(999 + s).uniform(50)), True,
+                   id=f"ac-{t}-{s}") for s in (0, 1, 2) for t in ("line", "cycle", "geometric")),
+    pytest.param(three_lines_failure_problem, True, id="three-lines"),
+    pytest.param(lambda: gen_direction_adversarial(2024), True, id="adversarial")])
+def test_x0_star_residual_is_a_rounding_floor(make, exact):
+    p = make()
+    resid = p.A.entries @ p.x0_star - p.b
+    floor = float(np.sqrt(resid @ resid))
+    scale = np.finfo(np.float64).eps * math.sqrt(p.A.frob_sq) * max(1.0, float(np.abs(p.x0_star).max()))
+    assert floor <= ROUNDING_FLOOR * scale
+    assert floor == 0.0 or not exact
+
+
 def test_problem_samplers_cached():
     p = synthetic_problem(10, 4, 0)
     assert p.row_sampler is p.row_sampler

@@ -174,13 +174,13 @@ def test_solution_is_fixed_point(method):
     state = init_state(problem, cfg)
     if method == "rek":
         # the auxiliary sequence starts at b and moves x until it drains;
-        # the joint fixed point is (x*, z=0)
+        # the joint fixed point is (e = 0, z = 0)
         state.z_aux = np.zeros(problem.A.m)
     rng = Rng(7)
     scale = np.linalg.norm(problem.x0_star) + 1.0
     for _ in range(3):
         step(state, problem, cfg, rng)
-    assert np.linalg.norm(state.x - problem.x0_star) <= 1e-10 * scale
+    assert np.linalg.norm(state.e) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +249,13 @@ def test_run_matches_public_step_replay(method):
         step(state, problem, cfg, rng)
     assert res.iterations == state.k == k
     assert res.row_actions == state.row_actions
-    np.testing.assert_array_equal(res.x, state.x)
+    np.testing.assert_array_equal(res.x, state.e + problem.x0_star)
     _assert_same_state(res.state, state)
 
 
 @pytest.mark.parametrize("method", ("rgs", "rek", "rp-admm"))
 def test_step_on_a_strided_state(method):
-    # rgs and rp-admm write x, and rek reads z_aux, through a flat index over
+    # rgs and rp-admm write e, and rek reads z_aux, through a flat index over
     # the lane block, which a strided state array must not lose; a step on it
     # gives the bits of a step on a contiguous copy
     from rdr_lab import solvers
@@ -263,7 +263,7 @@ def test_step_on_a_strided_state(method):
     problem = synthetic_problem(12, 5, seed=64)
     cfg = SolverConfig(method=method, seed=7)
     want, got = init_state(problem, cfg), init_state(problem, cfg)
-    for name in ("x", "z_aux", "residual", "mu"):
+    for name in ("e", "z_aux", "residual", "mu"):
         if (rows := getattr(got, name)) is not None:
             setattr(got, name, np.repeat(rows, 2)[::2])
     step = getattr(solvers, method.replace("-", "_") + "_step")
@@ -271,7 +271,7 @@ def test_step_on_a_strided_state(method):
     for _ in range(3):
         step(want, problem, cfg, rng_a)
         step(got, problem, cfg, rng_b)
-    for name in ("x", "z_aux", "residual", "mu"):
+    for name in ("e", "z_aux", "residual", "mu"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
@@ -286,7 +286,7 @@ def _assert_same_trial(got, want):
 
 def _assert_same_state(got, want):
     assert got.cyclic_cursor == want.cyclic_cursor
-    for name in ("x_prev", "z_aux", "mu", "residual", "z_last"):
+    for name in ("e", "e_prev", "z_aux", "mu", "residual", "z_last"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         assert a is None or a.tobytes() == b.tobytes(), name
@@ -495,13 +495,14 @@ def test_rp_admm_lanes_end_without_overflow():
 
 def test_mixed_momentum_block_keeps_signed_zero():
     # a lane of a block with and without momentum keeps its lone bytes.
-    # Column 1 is zero and x0[1] = -0.0; x[0] stays above the solution, so
-    # every reflection subtracts +0.0 there and rrdr keeps -0.0, while mrrdr
-    # adds beta * (x - x_prev) at every beta, which turns -0.0 into +0.0
+    # Column 1 is zero and e0[1] = x0[1] - x0_star[1] = -0.0 - 0.0 = -0.0;
+    # e[0] stays positive, so every reflection subtracts +0.0 there and rrdr
+    # keeps -0.0, while mrrdr adds beta * (e - e_prev) at every beta, which
+    # turns -0.0 into +0.0
     A = Matrix([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
     x_star = np.array([1.0, 0.0])
     problem = Problem(A=A, b=A.entries @ x_star, x_star=x_star,
-                      x0=np.array([3.0, -0.0]), x0_star=np.array([1.0, -0.0]),
+                      x0=np.array([3.0, -0.0]), x0_star=np.array([1.0, 0.0]),
                       label="zero-column")
     configs = [SolverConfig(method="mrrdr", r=1, alpha=0.1, beta=beta, seed=seed,
                             stop=StopRule(rse_tol=1e-12, max_iterations=40))
@@ -510,10 +511,28 @@ def test_mixed_momentum_block_keeps_signed_zero():
     for cfg, res in zip(configs, runs):
         (alone,) = run(problem, cfg)
         _assert_same_trial(res, alone)
-        assert not np.signbit(res.x[1])
+        assert not np.signbit(res.state.e[1])
     (res,) = run(problem, SolverConfig(method="rrdr", r=1, alpha=0.1, seed=2,
                                        stop=StopRule(rse_tol=1e-12, max_iterations=40)))
-    assert np.signbit(res.x[1])
+    assert np.signbit(res.state.e[1])
+
+
+def test_lanes_see_b_only_through_x0_star():
+    # the lanes solve A e = 0 for e = x - x0_star: on a system that Problem
+    # accepts with |A x0_star - b| = 6.2e-8, far above rounding, a lane still
+    # converges to x0_star, and its trace shows the true residual
+    g = np.random.default_rng(0)
+    arr = g.standard_normal((20, 5))
+    x_star = g.standard_normal(5)
+    b = arr @ x_star + 1.5e-8 * g.standard_normal(20)
+    problem = Problem(A=Matrix(arr), b=b, x_star=x_star, x0_star=x_star.copy(),
+                      x0=x_star + 1e-4 * (arr.T @ g.standard_normal(20)))
+    floor = np.linalg.norm(arr @ x_star - b)
+    for method in ("rk", "rgs"):
+        (res,) = run(problem, SolverConfig(method=method, seed=1, stop=StopRule(
+            rse_tol=1e-12, max_iterations=20_000)))
+        assert res.status == "converged", method
+        assert abs(res.records[-1].residual_norm2 - floor) <= 0.05 * floor, method
 
 
 @pytest.mark.parametrize("below", (0, 1))
@@ -620,8 +639,9 @@ def test_rgs_identity_sets_coordinate():
     state = init_state(problem, cfg)
     rng = Rng(21)
     rgs_step(state, problem, cfg, rng)
-    j = int(np.flatnonzero(state.x != 0.0)[0])
-    assert state.x[j] == problem.b[j]
+    # e0 = -x_star has no zero entry; the step zeroes coordinate j exactly
+    j = int(np.flatnonzero(state.e == 0.0)[0])
+    assert state.e[j] == 0.0
     assert state.row_actions == 1
 
 
@@ -679,7 +699,7 @@ def test_rp_admm_identity_one_sweep():
     state = init_state(problem, cfg)
     np.testing.assert_array_equal(state.mu, np.zeros(5))
     rp_admm_step(state, problem, cfg, Rng(13))
-    np.testing.assert_array_equal(state.x, problem.b)
+    np.testing.assert_array_equal(state.e, np.zeros(5))
     assert state.row_actions == 5
 
 
@@ -690,9 +710,10 @@ def test_rp_admm_zero_column_warns():
                       x0=np.zeros(2), x0_star=projected_solution(arr, b, np.zeros(2)))
     cfg = SolverConfig(method="rp-admm", seed=1)
     state = init_state(problem, cfg)
+    e1 = state.e[1]
     with pytest.warns(UserWarning, match="zero column"):
         rp_admm_step(state, problem, cfg, Rng(1))
-    assert state.x[1] == 0.0  # skipped coordinate untouched
+    assert state.e[1] == e1  # skipped coordinate untouched
 
 
 def test_rp_admm_coordinate_updates_minimize_lagrangian():
@@ -704,7 +725,7 @@ def test_rp_admm_coordinate_updates_minimize_lagrangian():
     state = init_state(problem, cfg)
     state.mu = Rng(1000).normal(8) * 0.5  # exercise a nonzero multiplier
     mu = state.mu.copy()
-    x_before = state.x.copy()
+    x_before = state.e + problem.x0_star
     rp_admm_step(state, problem, cfg, Rng(29))
 
     arr_ld = problem.A.entries.astype(np.longdouble)
@@ -743,8 +764,9 @@ def test_rp_admm_coordinate_updates_minimize_lagrangian():
 
         center = float(x_path[j])
         t_star = golden_min(lagrangian, center - 8.0, center + 8.0)
-        assert abs(float(state.x[j]) - float(t_star)) <= 1e-8
-        x_path[j] = np.longdouble(state.x[j])
+        written = state.e[j] + problem.x0_star[j]
+        assert abs(float(written) - float(t_star)) <= 1e-8
+        x_path[j] = np.longdouble(written)
 
 
 # ---------------------------------------------------------------------------
@@ -758,23 +780,22 @@ def test_reflection_chain_isometry_and_orthogonality():
     cfg = SolverConfig(method="rrdr", r=2, alpha=0.5, seed=6)
     state = init_state(problem, cfg)
     rng = Rng(6)
-    x0_star = problem.x0_star
-    d0 = np.linalg.norm(problem.x0 - x0_star)
+    d0 = np.linalg.norm(problem.x0 - problem.x0_star)
     _, _, vt = np.linalg.svd(problem.A.entries)
     null_basis = vt[np.linalg.matrix_rank(problem.A.entries):].T
     assert null_basis.shape[1] == 4
     for _ in range(100):
-        x_before = state.x.copy()
-        dist_before = np.linalg.norm(x_before - x0_star)
+        e_before = state.e.copy()
+        dist_before = np.linalg.norm(e_before)
         rrdr_step(state, problem, cfg, rng)
         # reflections preserve distance to any solution point
-        dist_z = np.linalg.norm(state.z_last - x0_star)
+        dist_z = np.linalg.norm(state.z_last)
         assert abs(dist_z - dist_before) <= 1e-10 * (1.0 + dist_before)
         # iterates never leave the start point's row-space slice
-        err = state.x - x0_star
+        err = state.e
         assert np.abs(null_basis.T @ err).max() <= 1e-9 * d0
         # alpha = 1/2 makes the move orthogonal to the remaining error
-        move = state.x - x_before
+        move = state.e - e_before
         assert abs(float(err @ move)) <= 1e-9 * dist_before ** 2
 
 
