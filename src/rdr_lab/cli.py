@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (build_problem, figure_presets, parse_config_file, preset,
@@ -47,7 +48,7 @@ def _read_config(path):
 def _cmd_run(args) -> int:
     spec = _read_config(args.config)
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = replace(spec, seed=args.seed)
     return _finish(run_experiment(spec, out_dir=args.out), allow_divergence=True)
 
 
@@ -62,7 +63,7 @@ def _cmd_rates(args) -> int:
     problem = build_problem(spec.problem, child_seed(spec.seed, 0))
     reports = rate_reports(spec, problem)
     scal = spectral_scalars(problem.A)
-    m, n = problem.shape
+    m, n = problem.A.shape
     print(f"problem {problem.label}: m={m} n={n} rank={scal.rank} "
           f"sigma_min={scal.sigma_min:.6e} sigma_max={scal.sigma_max:.6e} "
           f"frob_sq={scal.frob_sq:.6e}")
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     p_preset.add_argument("name")
     p_preset.add_argument("--scale", type=float, default=1.0)
     p_preset.add_argument("--seed", type=int, default=12345)
-    p_preset.add_argument("--out", default="out")
+    p_preset.add_argument("--out", default=None)
     p_preset.set_defaults(handler=_cmd_preset)
 
     p_rates = sub.add_parser("rates", help="print closed-form rate predictions")

@@ -40,11 +40,12 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# experiment description
+# experiment description: specs are frozen and check themselves when built,
+# and ``dataclasses.replace`` checks the copy it makes
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     source: str  # synthetic | conditioned | mtx | ac | three-lines | adversarial
     m: int = 100
@@ -55,13 +56,13 @@ class ProblemSpec:
     nodes: int = 50
     radius: float | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.source not in _SOURCES:
             raise ConfigError(f"unknown problem source: {self.source}")
         for name in ("m", "n", "nodes"):
             if (value := _whole(getattr(self, name))) is None or value < 1:
                 raise ConfigError(f"'{name}' must be a whole number >= 1")
-            setattr(self, name, value)
+            object.__setattr__(self, name, value)
         if self.source == "conditioned" and self.ratio is None:
             raise ConfigError("conditioned problems need 'ratio'")
         if self.source == "mtx" and not self.path:
@@ -73,7 +74,7 @@ class ProblemSpec:
                 raise ConfigError("ac problems need nodes >= 2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     problem: ProblemSpec
     configs: list  # list[SolverConfig]; seeds are assigned per trial at run time
@@ -84,18 +85,25 @@ class ExperimentSpec:
     # presets may tolerate non-converged statuses (sweeps include divergent cells)
     allow_divergence: bool = False
 
-    def validate(self):
-        self.problem.validate()
+    def __post_init__(self):
         if not self.configs:
             raise ConfigError("no solver configs requested")
         trials = _whole(self.trials)
         if trials is None or trials < 1:
             raise ConfigError("trials must be a whole number >= 1")
-        self.trials = trials
+        object.__setattr__(self, "trials", trials)
         seed = _whole(self.seed)
         if seed is None or not 0 <= seed <= MASK64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        self.seed = seed
+        object.__setattr__(self, "seed", seed)
+
+
+def _grid(stop, trace_every, **axes):
+    """Solver configs of each combination of the ``axes`` lists, the first axis
+    slowest; a config holds only what its method reads, so equal ones collapse."""
+    return list(dict.fromkeys(
+        SolverConfig(**dict(zip(axes, values)), stop=stop, trace_every=trace_every)
+        for values in itertools.product(*axes.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +197,18 @@ def parse_config(text: str) -> ExperimentSpec:
         if key in run_sec:
             experiment[name] = run_sec.pop(key)
     trace_every = run_sec.pop("trace_every", 1000)
-    grid = {"method": solvers.pop("methods", ["rrdr"])}
-    grid.update((key, solvers.pop(key)) for key in ("r", "alpha", "beta")
+    axes = {"method": solvers.pop("methods", ["rrdr"])}
+    axes.update((key, solvers.pop(key)) for key in ("r", "alpha", "beta")
                 if key in solvers)
+    axes.update((key, [value]) for key, value in solvers.items())  # the penalty
     try:
-        # what is left of [run] is the stop rule, and of [solvers] the penalty
+        # what is left of [run] is the stop rule
         stop = StopRule(**{"max_row_actions": 1_000_000, **run_sec})
-        # a config holds only what its method reads, so equal ones collapse
-        configs = list(dict.fromkeys(
-            SolverConfig(**dict(zip(grid, values)), **solvers, stop=stop,
-                         trace_every=trace_every)
-            for values in itertools.product(*grid.values())))
+        configs = _grid(stop, trace_every, **axes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    spec = ExperimentSpec(problem=ProblemSpec(**{"source": "synthetic", **problem}),
+    return ExperimentSpec(problem=ProblemSpec(**{"source": "synthetic", **problem}),
                           configs=configs, **experiment)
-    spec.validate()
-    return spec
 
 
 def parse_config_file(path) -> ExperimentSpec:
@@ -232,7 +235,6 @@ _SOURCES = {
 
 def build_problem(pspec: ProblemSpec, seed: int) -> Problem:
     """Materialize the problem described by a spec under a given seed."""
-    pspec.validate()
     return _SOURCES[pspec.source](pspec, seed)
 
 
@@ -281,7 +283,6 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     ``g * trials + t + 1`` of the experiment seed; entry 0 seeds problem
     generation.  Rows are emitted in (config, trial, step) order.  Trace
     records carry direction metrics on adversarial problems."""
-    spec.validate()
     problem = build_problem(spec.problem, child_seed(spec.seed, 0))
 
     sigma_min = None
@@ -373,10 +374,6 @@ def _write_meta(path, spec, problem, rates, sigma_min, elapsed):
 # ---------------------------------------------------------------------------
 
 
-def _scaled(value, scale):
-    return max(2, int(round(value * scale)))
-
-
 def figure_presets(scale: float = 1.0, seed: int = 12345) -> dict:
     """Desk-size experiment bundles mirroring the figure families.
 
@@ -385,86 +382,41 @@ def figure_presets(scale: float = 1.0, seed: int = 12345) -> dict:
     """
     if not 0.0 < scale < math.inf:
         raise ConfigError("scale must be positive and finite")
-    presets = {}
-
+    dim = lambda value: max(2, int(round(value * scale)))
+    sized = lambda source, m, n: ProblemSpec(source=source, m=dim(m), n=dim(n))
     stop12 = lambda budget: StopRule(rse_tol=1e-12, max_row_actions=budget)
-
-    # momentum parameter sweep over (alpha, beta)
-    sweep_cfgs = [
-        SolverConfig(method="mrrdr", r=r, alpha=a, beta=b,
-                     stop=stop12(2_000_000), trace_every=0)
-        for r in (2, 3)
-        for a in (0.1, 0.3, 0.5, 0.7, 0.9)
-        for b in (0.0, 0.2, 0.4, 0.6, 0.8)
-    ]
-    presets["fig-param-sweep"] = ExperimentSpec(
-        problem=ProblemSpec(source="synthetic", m=_scaled(200, scale),
-                            n=_scaled(50, scale)),
-        configs=sweep_cfgs, trials=10, seed=seed, label="fig-param-sweep",
-        allow_divergence=True)
-
-    presets["fig-r-sweep"] = ExperimentSpec(
-        problem=ProblemSpec(source="synthetic", m=_scaled(200, scale),
-                            n=_scaled(50, scale)),
-        configs=[
-            SolverConfig(method="mrrdr", r=r, alpha=0.5, beta=b,
-                         stop=stop12(1_000_000), trace_every=500)
-            for b in (0.0, 0.4) for r in range(1, 21)
-        ],
-        trials=10, seed=seed, label="fig-r-sweep")
-
-    presets["fig-vs-cyclic"] = ExperimentSpec(
-        problem=ProblemSpec(source="synthetic", m=_scaled(200, scale),
-                            n=_scaled(50, scale)),
-        configs=[
-            SolverConfig(method="cyclic-dr", alpha=0.5,
-                         stop=stop12(2_000_000), trace_every=500),
-            SolverConfig(method="mrrdr", r=2, alpha=0.5, beta=0.0,
-                         stop=stop12(2_000_000), trace_every=500),
-            SolverConfig(method="mrrdr", r=2, alpha=0.5, beta=0.4,
-                         stop=stop12(2_000_000), trace_every=500),
-        ],
-        trials=10, seed=seed, label="fig-vs-cyclic")
-
-    presets["fig-baselines"] = ExperimentSpec(
-        problem=ProblemSpec(source="synthetic", m=_scaled(100, scale),
-                            n=_scaled(50, scale)),
-        configs=[
-            SolverConfig(method="rk", stop=stop12(1_000_000), trace_every=500),
-            SolverConfig(method="rek", stop=stop12(1_000_000), trace_every=500),
-            SolverConfig(method="rgs", stop=stop12(1_000_000), trace_every=500),
-            SolverConfig(method="rp-admm", penalty=1.0,
-                         stop=stop12(1_000_000), trace_every=500),
-            SolverConfig(method="mrrdr", r=2, alpha=0.5, beta=0.4,
-                         stop=stop12(1_000_000), trace_every=500),
-        ],
-        trials=10, seed=seed, label="fig-baselines")
-
-    presets["fig-direction"] = ExperimentSpec(
-        problem=ProblemSpec(source="adversarial", m=_scaled(500, scale),
-                            n=_scaled(500, scale)),
-        configs=[
-            SolverConfig(method="rrdr", r=r, alpha=0.5,
-                         stop=StopRule(rse_tol=1e-12, max_row_actions=30_000),
-                         trace_every=250)
-            for r in (1, 2, 3, 4, 10, 20)
-        ],
-        trials=1, seed=seed, label="fig-direction")
-
-    presets["fig-failure"] = ExperimentSpec(
-        problem=ProblemSpec(source="three-lines"),
-        configs=[
-            SolverConfig(method="det-rsets-dr", alpha=0.5,
-                         stop=StopRule(rse_tol=1e-12, max_iterations=1000),
-                         trace_every=30),
-            SolverConfig(method="rrdr", r=3, alpha=0.5,
-                         stop=StopRule(rse_tol=1e-12, max_row_actions=10_000),
-                         trace_every=30),
-        ],
-        trials=10, seed=seed, label="fig-failure",
-        allow_divergence=False)
-
-    return presets
+    presets = {
+        # momentum parameter sweep over (alpha, beta)
+        "fig-param-sweep": dict(
+            problem=sized("synthetic", 200, 50), allow_divergence=True,
+            configs=_grid(stop12(2_000_000), 0, method=["mrrdr"], r=(2, 3),
+                          alpha=(0.1, 0.3, 0.5, 0.7, 0.9),
+                          beta=(0.0, 0.2, 0.4, 0.6, 0.8))),
+        "fig-r-sweep": dict(
+            problem=sized("synthetic", 200, 50),
+            configs=_grid(stop12(1_000_000), 500, method=["mrrdr"],
+                          beta=(0.0, 0.4), r=range(1, 21))),
+        "fig-vs-cyclic": dict(
+            problem=sized("synthetic", 200, 50),
+            configs=_grid(stop12(2_000_000), 500, method=["cyclic-dr", "mrrdr"],
+                          r=[2], beta=(0.0, 0.4))),
+        "fig-baselines": dict(
+            problem=sized("synthetic", 100, 50),
+            configs=_grid(stop12(1_000_000), 500,
+                          method=["rk", "rek", "rgs", "rp-admm", "mrrdr"],
+                          r=[2], beta=[0.4])),
+        "fig-direction": dict(
+            problem=sized("adversarial", 500, 500), trials=1,
+            configs=_grid(stop12(30_000), 250, method=["rrdr"],
+                          r=(1, 2, 3, 4, 10, 20))),
+        "fig-failure": dict(
+            problem=ProblemSpec(source="three-lines"),
+            configs=_grid(StopRule(rse_tol=1e-12, max_iterations=1000), 30,
+                          method=["det-rsets-dr"])
+            + _grid(stop12(10_000), 30, method=["rrdr"], r=[3])),
+    }
+    return {name: ExperimentSpec(**{"trials": 10, **args}, seed=seed, label=name)
+            for name, args in presets.items()}
 
 
 def preset(name: str, scale: float = 1.0, seed: int = 12345) -> ExperimentSpec:

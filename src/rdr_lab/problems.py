@@ -70,10 +70,6 @@ class Problem:
     def col_sampler(self) -> WeightedSampler:
         return WeightedSampler(self.A.col_norms_sq)
 
-    @property
-    def shape(self):
-        return self.A.shape
-
 
 # ---------------------------------------------------------------------------
 # generators

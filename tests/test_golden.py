@@ -86,10 +86,10 @@ COUNTS = {
 def _spec(name):
     spec = replace(preset(name, seed=SEED), trials=TRIALS)
     if name == "fig-param-sweep":
-        spec.configs = [c for c in spec.configs
-                        if c.r == 3 and (c.alpha, c.beta) in SWEEP_CELLS]
+        spec = replace(spec, configs=[c for c in spec.configs
+                                      if c.r == 3 and (c.alpha, c.beta) in SWEEP_CELLS])
     if name == "fig-r-sweep":
-        spec.configs = [c for c in spec.configs if c.r in R_SWEEP_RS]
+        spec = replace(spec, configs=[c for c in spec.configs if c.r in R_SWEEP_RS])
     return spec
 
 
@@ -115,7 +115,7 @@ def test_golden_csv_digests(name, outputs):
 @pytest.fixture(scope="module")
 def direction(tmp_path_factory):
     spec = preset("fig-direction", seed=SEED)
-    spec.configs = [c for c in spec.configs if c.r in DIRECTION_RS]
+    spec = replace(spec, configs=[c for c in spec.configs if c.r in DIRECTION_RS])
     return spec, run_experiment(spec, out_dir=tmp_path_factory.mktemp("direction"))
 
 

@@ -2,9 +2,10 @@
 emission, figure presets, and the CLI exit-code contract."""
 
 import csv
+import hashlib
 import io
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from rdr_lab.harness import (
     compute_direction_metrics,
     figure_presets,
     parse_config,
+    parse_config_file,
     preset,
     run_experiment,
     _write_meta,
@@ -53,9 +55,7 @@ def _tiny_spec(tmp_path, **overrides):
                               stop=StopRule(rse_tol=1e-10, max_row_actions=50_000),
                               trace_every=100)],
         trials=2, seed=99, out_dir=str(tmp_path), label="tiny")
-    for key, value in overrides.items():
-        setattr(spec, key, value)
-    return spec
+    return replace(spec, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_problem_dimensions_are_whole_numbers():
     for name in ("m", "n", "nodes"):
         for value in (20.5, 0, math.inf, math.nan, "20"):
             with pytest.raises(ConfigError, match=f"'{name}' must be a whole number >= 1"):
-                replace(ProblemSpec(source="synthetic"), **{name: value}).validate()
+                replace(ProblemSpec(source="synthetic"), **{name: value})
 
 
 def test_parse_adversarial_rejects_m_other_than_n():
@@ -548,8 +548,8 @@ def test_experiment_seed_is_a_whole_number():
     spec = preset("fig-failure")
     for seed in (1.5, math.inf, math.nan, -1, 2 ** 64, "3"):
         with pytest.raises(ConfigError, match="seed must be a 64-bit unsigned integer"):
-            replace(spec, seed=seed).validate()
-    replace(spec, seed=3.0).validate()
+            replace(spec, seed=seed)
+    assert replace(spec, seed=3.0).seed == 3
 
 
 def test_experiment_whole_float_seed_writes_the_int_seed(tmp_path):
@@ -569,10 +569,46 @@ def test_experiment_trials_is_a_whole_number(tmp_path):
     spec = _tiny_spec(tmp_path)
     for trials in (1.5, 0, -2, math.inf, math.nan, "2"):
         with pytest.raises(ConfigError, match="trials must be a whole number >= 1"):
-            replace(spec, trials=trials).validate()
+            replace(spec, trials=trials)
     result = run_experiment(replace(spec, trials=2.0), out_dir=tmp_path)
     assert len(result.runs) == 2
     assert "trials = 2\n" in result.meta_path.read_text()
+
+
+# sha256 of each preset's ordered (label, stop rule, trace_every) configs, its
+# problem fields, trials and allow_divergence, at the default scale and seed:
+# the config order fixes each trial's child seed, so a reordered preset moves
+PRESET_DIGESTS = {
+    "fig-baselines": "123f377cea99323c0ae82f80e3acd2f67a26eb53a9bab1c8e75c4139ebaf8390",
+    "fig-direction": "88ee5eb40c7698d38f8730e1caa5dc63e0897b736093bdd9a599352059e04487",
+    "fig-failure": "156cb2638dc3b3c29a82d28ddb465bf32975ffed325ff0af5b1c2f678e2776bf",
+    "fig-param-sweep": "64bdef5f29f3f8ce7e1a1bab6d8ed7ad6f3206e35129b6903a133f8f5500bd78",
+    "fig-r-sweep": "9f1e8d963ba1b3fd31f9a7e9ebe1cf578011b2615c0aa712e612a70a2d858aca",
+    "fig-vs-cyclic": "fae80facc056a1a451c4032ffb01d7b618013bdc50717f052bdd49b18aa3f8a3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_configs_digest(name):
+    spec = preset(name)
+    text = repr(([(c.label(), astuple(c.stop), c.trace_every) for c in spec.configs],
+                 astuple(spec.problem), spec.trials, spec.allow_divergence))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_DIGESTS[name]
+
+
+def test_specs_check_themselves_when_built(tmp_path):
+    # a bad spec once existed until run_experiment or build_problem met it
+    with pytest.raises(ConfigError, match="unknown problem source: magic"):
+        ProblemSpec(source="magic")
+    with pytest.raises(ConfigError, match="no solver configs requested"):
+        ExperimentSpec(problem=ProblemSpec(source="three-lines"), configs=[])
+    with pytest.raises(ConfigError, match="seed must be a 64-bit unsigned integer"):
+        preset("fig-failure", seed=-1)
+    spec = _tiny_spec(tmp_path)
+    with pytest.raises(FrozenInstanceError):
+        spec.seed = 3
+    with pytest.raises(FrozenInstanceError):
+        spec.problem.m = 3
 
 
 def test_preset_unknown_name():
@@ -619,6 +655,27 @@ def test_cli_run_writes_to_the_config_out_without_out_flag(tmp_path):
     cfg.write_text(RUN_CONFIG + f"out = {tmp_path / 'from-config'}\n")
     assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
     assert (tmp_path / "from-config" / "cli-smoke_summary.csv").is_file()
+
+
+def test_cli_run_seed_overrides_the_config_seed(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(RUN_CONFIG)
+    code = cli.main(["run", str(cfg), "--seed", "7", "--out", str(tmp_path / "cli")])
+    assert code == cli.EXIT_OK
+    want = run_experiment(replace(parse_config_file(cfg), seed=7), out_dir=tmp_path / "api")
+    assert "seed = 7\n" in (tmp_path / "cli" / want.meta_path.name).read_text()
+    for path in (want.trace_path, want.summary_path):
+        assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--seed", "-1"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be a 64-bit unsigned integer\n"
+
+
+def test_cli_preset_writes_to_out_without_out_flag(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["preset", "fig-failure"]) == cli.EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "fig-failure_meta.txt", "fig-failure_summary.csv", "fig-failure_trace.csv"]
 
 
 def test_cli_run_missing_file(tmp_path, capsys):
