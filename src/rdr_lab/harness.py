@@ -1,6 +1,6 @@
 """Experiment harness: config files, figure presets, and CSV traces.
 
-An experiment is a problem, a list of solver configs, a trial count, and a
+An experiment is a problem, a tuple of solver configs, a trial count, and a
 seed.  Trials own child RNG streams derived from the experiment seed, and
 output rows are merged in a fixed (config, trial, step) order, so results
 are byte-identical for a given config file and seed regardless of how the
@@ -60,9 +60,8 @@ class ProblemSpec:
         if self.source not in _SOURCES:
             raise ConfigError(f"unknown problem source: {self.source}")
         for name in ("m", "n", "nodes"):
-            if (value := _whole(getattr(self, name))) is None or value < 1:
-                raise ConfigError(f"'{name}' must be a whole number >= 1")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _whole(
+                getattr(self, name), f"'{name}' must be a whole number >= 1", error=ConfigError))
         if self.source == "conditioned" and self.ratio is None:
             raise ConfigError("conditioned problems need 'ratio'")
         if self.source == "mtx" and not self.path:
@@ -77,7 +76,7 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class ExperimentSpec:
     problem: ProblemSpec
-    configs: list  # list[SolverConfig]; seeds are assigned per trial at run time
+    configs: tuple  # tuple[SolverConfig, ...]; seeds are assigned per trial at run time
     trials: int = 10
     seed: int = 0
     out_dir: str = "out"
@@ -86,16 +85,15 @@ class ExperimentSpec:
     allow_divergence: bool = False
 
     def __post_init__(self):
+        # a tuple, so the checked configs cannot be emptied in place
+        object.__setattr__(self, "configs", tuple(self.configs or ()))
         if not self.configs:
             raise ConfigError("no solver configs requested")
-        trials = _whole(self.trials)
-        if trials is None or trials < 1:
-            raise ConfigError("trials must be a whole number >= 1")
-        object.__setattr__(self, "trials", trials)
-        seed = _whole(self.seed)
-        if seed is None or not 0 <= seed <= MASK64:
-            raise ConfigError("seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trials", _whole(
+            self.trials, "trials must be a whole number >= 1", error=ConfigError))
+        object.__setattr__(self, "seed", _whole(
+            self.seed, "seed must be a 64-bit unsigned integer", lo=0, hi=MASK64,
+            error=ConfigError))
 
 
 def _grid(stop, trace_every, **axes):

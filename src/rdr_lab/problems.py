@@ -78,10 +78,8 @@ class Problem:
 
 def _sizes(*sizes) -> tuple:
     """``sizes`` as ints; each must be a whole number >= 1 (20.0 is 20)."""
-    whole = tuple(_whole(size) for size in sizes)
-    if any(size is None or size < 1 for size in whole):
-        raise ValueError("invalid matrix: dimensions must be positive whole numbers")
-    return whole
+    return tuple(_whole(size, "invalid matrix: dimensions must be positive whole numbers")
+                 for size in sizes)
 
 
 def gen_gaussian(m: int, n: int, seed: int) -> Matrix:
@@ -322,9 +320,7 @@ def gen_ac_problem(spec: GraphSpec, c) -> Problem:
     the solution set is the span of the all-ones vector, so the projection
     of the start vector ``c`` is ``mean(c) * ones``.
     """
-    n = _whole(spec.n)
-    if n is None or n < 2:
-        raise ValueError("invalid matrix: graph needs n >= 2, a whole number")
+    n = _whole(spec.n, "invalid matrix: graph needs n >= 2, a whole number", lo=2)
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (n,):
         raise ValueError("invalid matrix: c has wrong length")

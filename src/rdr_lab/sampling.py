@@ -8,6 +8,8 @@ permutations.  All randomness in the package flows through ``Rng`` so that a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -24,13 +26,16 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _whole(value) -> int | None:
-    """``value`` as an int if it is a whole number, else None."""
+def _whole(value, message, lo=1, hi=math.inf, error=ValueError) -> int:
+    """``value`` as an int if it is a whole number in [lo, hi] (20.0 is 20),
+    else raises ``error(message)``; every count and seed is checked here."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
-        return None
-    return whole if whole == value else None
+        raise error(message) from None
+    if whole != value or not lo <= whole <= hi:
+        raise error(message)
+    return whole
 
 
 def _splitmix64(z: int) -> int:
@@ -58,11 +63,8 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        seed = _whole(seed)
-        if seed is None or not 0 <= seed <= MASK64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self.seed = _whole(seed, "seed must be a 64-bit unsigned integer", lo=0, hi=MASK64)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, size=None):
         """Draw from U[0, 1); a scalar when ``size`` is None."""

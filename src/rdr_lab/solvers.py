@@ -46,9 +46,8 @@ class StopRule:
             raise ValueError("invalid parameter: rse_tol must be " + (
                 "positive" if self.rse_tol <= 0.0 else "finite and positive"))
         for name in ("max_row_actions", "max_iterations"):
-            value = getattr(self, name)
-            if value is not None and (_whole(value) is None or value < 1):
-                raise ValueError(f"invalid parameter: {name} must be a whole number >= 1")
+            if (value := getattr(self, name)) is not None:
+                _whole(value, f"invalid parameter: {name} must be a whole number >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,21 +71,19 @@ class SolverConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method}")
         # r and seed are kept as ints, so r=2.0 runs, labels and hashes as r=2
-        r, seed = _whole(self.r), _whole(self.seed)
-        if r is None or r < 1:
-            raise ValueError("invalid parameter: r must be a positive integer")
-        if seed is None or not 0 <= seed <= MASK64:
-            raise ValueError("invalid parameter: seed must be an integer in [0, 2**64)")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "r", _whole(
+            self.r, "invalid parameter: r must be a positive integer"))
+        object.__setattr__(self, "seed", _whole(
+            self.seed, "invalid parameter: seed must be an integer in [0, 2**64)",
+            lo=0, hi=MASK64))
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("invalid parameter: alpha must lie in (0, 1)")
         if not (0.0 <= self.beta < 1.0):
             raise ValueError("invalid parameter: beta must lie in [0, 1)")
         if not 0.0 < self.penalty < math.inf:
             raise ValueError("invalid parameter: penalty must be finite and positive")
-        if _whole(self.trace_every) is None or self.trace_every < 0:
-            raise ValueError("invalid parameter: trace_every must be a whole number >= 0")
+        _whole(self.trace_every,
+               "invalid parameter: trace_every must be a whole number >= 0", lo=0)
         for f in fields(self):
             if f.name in _TAGS and f.name not in _METHODS[self.method].reads:
                 object.__setattr__(self, f.name, f.default)

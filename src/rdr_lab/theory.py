@@ -30,9 +30,13 @@ def _check_beta(beta):
         raise ValueError("invalid parameter: beta must be >= 0")
 
 
-def _check_r(r):
-    if _whole(r) is None or r < 1:
-        raise ValueError("invalid parameter: r must be a positive integer")
+def _check_r(r) -> int:
+    return _whole(r, "invalid parameter: r must be a positive integer")
+
+
+def _check_frob_sq(frob_sq):
+    if not 0.0 < frob_sq < math.inf:
+        raise ValueError("invalid parameter: frob_sq must be finite and positive")
 
 
 def _q_min(spec: SpectralScalars) -> float:
@@ -52,7 +56,7 @@ def rate_thm1(spec: SpectralScalars, alpha: float, r: int) -> float:
     sigma_min^2 / frob_sq``.
     """
     _check_alpha(alpha)
-    _check_r(r)
+    r = _check_r(r)
     return (alpha * alpha + (1.0 - alpha) ** 2
             + 2.0 * alpha * (1.0 - alpha) * _q_min(spec) ** r)
 
@@ -64,7 +68,7 @@ def delta1(spec: SpectralScalars, r: int) -> float:
     ``|1 - 2 sigma_i^2 / frob_sq|`` over nonzero singular values, attained at
     an endpoint of the spectrum because the map is convex in sigma^2.
     """
-    _check_r(r)
+    r = _check_r(r)
     if r % 2 == 1:
         return _q_min(spec)
     if spec.rank < 2:
@@ -89,7 +93,8 @@ def singular_decay_factor(sigma: float, frob_sq: float, alpha: float, r: int) ->
     """Exact per-iteration factor of the expected error along one right
     singular direction: ``(1-alpha) + alpha (1 - 2 sigma^2 / frob_sq)**r``."""
     _check_alpha(alpha)
-    _check_r(r)
+    r = _check_r(r)
+    _check_frob_sq(frob_sq)
     return (1.0 - alpha) + alpha * (1.0 - 2.0 * sigma * sigma / frob_sq) ** r
 
 
@@ -114,7 +119,7 @@ def momentum_linear_region(spec: SpectralScalars, alpha: float, r: int,
     beta, so any ``beta < beta_max`` is certified.
     """
     _check_alpha(alpha)
-    _check_r(r)
+    r = _check_r(r)
     _check_beta(beta)
     d2 = delta2(spec)
     base = rate_thm1(spec, alpha, r)
@@ -152,7 +157,9 @@ def characteristic_roots(sigmas, frob_sq: float, alpha: float, beta: float, r: i
     discriminant is negative both roots have squared modulus exactly beta.
     """
     _check_alpha(alpha)
-    _check_r(r)
+    r = _check_r(r)
+    _check_beta(beta)
+    _check_frob_sq(frob_sq)
     sig = np.asarray(sigmas, dtype=np.float64)
     d = (1.0 - alpha + beta) + alpha * (1.0 - 2.0 * sig * sig / frob_sq) ** r
     # the complex square root of a real discriminant (imaginary part +0) is
@@ -192,8 +199,7 @@ class MeanMap:
         uses factor ``decay - beta`` per coordinate and the recurrence
         ``s_{k+1} = decay * s_k - beta * s_{k-1}`` afterwards.
         """
-        if (steps := _whole(steps)) is None or steps < 0:
-            raise ValueError("invalid parameter: steps must be a whole number >= 0")
+        steps = _whole(steps, "invalid parameter: steps must be a whole number >= 0", lo=0)
         err0 = np.asarray(err0, dtype=np.float64)
         s = np.empty((steps + 1, err0.size))
         s[0] = self.V.T @ err0
@@ -219,7 +225,7 @@ def _reflection_spectrum(mat, r: int):
 def mean_map(A, alpha: float, beta: float, r: int) -> MeanMap:
     """Build the expected-iterate map descriptor for a matrix."""
     _check_alpha(alpha)
-    _check_r(r)
+    r = _check_r(r)
     _check_beta(beta)
     V, eig = _reflection_spectrum(as_matrix(A), r)
     return MeanMap(V=V, decay=(1.0 - alpha + beta) + alpha * eig, beta=beta)
@@ -233,7 +239,7 @@ def enumerate_one_step(A, b, x, x_prev, alpha: float, beta: float, r: int):
     ``x`` onto the solution set.  Instances must satisfy ``m**r <= 10**6``.
     """
     _check_alpha(alpha)
-    _check_r(r)
+    r = _check_r(r)
     _check_beta(beta)
     mat = as_matrix(A)
     b = np.asarray(b, dtype=np.float64)
@@ -272,7 +278,7 @@ def angle_expectation_half(A, x, x_star, r: int) -> float:
     """Expected squared cosine between successive error directions at
     alpha = 1/2: ``1/2 + 1/2 * u^T (I - 2 A^T A / frob_sq)**r u`` for the
     unit error ``u``."""
-    _check_r(r)
+    r = _check_r(r)
     mat = as_matrix(A)
     x = np.asarray(x, dtype=np.float64)
     x_star = np.asarray(x_star, dtype=np.float64)
@@ -316,7 +322,7 @@ def rate_report(spec: SpectralScalars, alpha: float, beta: float, r: int) -> Rat
     region = momentum_linear_region(spec, alpha, r, beta)
     alpha_max, beta_lo = momentum_accel_region(spec, alpha, r)
     return RateReport(
-        alpha=alpha, beta=beta, r=r,
+        alpha=alpha, beta=beta, r=_check_r(r),
         sigma_min=spec.sigma_min, sigma_max=spec.sigma_max,
         frob_sq=spec.frob_sq, rank=spec.rank,
         rate_thm1=rate_thm1(spec, alpha, r),

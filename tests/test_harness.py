@@ -611,6 +611,18 @@ def test_specs_check_themselves_when_built(tmp_path):
         spec.problem.m = 3
 
 
+def test_spec_configs_cannot_be_changed_in_place(tmp_path):
+    # a list of configs once could be emptied after the spec checked it
+    spec = preset("fig-failure")
+    assert isinstance(spec.configs, tuple)
+    with pytest.raises(AttributeError):
+        spec.configs.clear()
+    with pytest.raises(AttributeError):
+        spec.configs.append(spec.configs[0])
+    with pytest.raises(ConfigError, match="no solver configs requested"):
+        replace(_tiny_spec(tmp_path), configs=[])
+
+
 def test_preset_unknown_name():
     with pytest.raises(ConfigError, match="unknown preset 'fig-nope'"):
         preset("fig-nope")

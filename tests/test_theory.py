@@ -2,6 +2,7 @@
 expected-iterate map, and the exhaustive branch-enumeration oracles."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -74,6 +75,35 @@ def test_rate_formulas_reject_r_that_is_not_whole():
                      lambda: mean_map(np.eye(2), 0.5, 0.0, r)):
             with pytest.raises(ValueError, match="r must be a positive integer"):
                 call()
+
+
+# a 4x3 system for the oracles below: its spectrum, entries and a start pair
+A43 = gen_gaussian(4, 3, 79).entries
+SPEC43 = spectral_scalars(A43)
+SV43 = np.linalg.svd(A43, compute_uv=False)
+X43, XPREV43 = Rng(9).normal(3), Rng(10).normal(3)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda r: rate_thm1(SPEC43, 0.5, r),
+    lambda r: delta1(SPEC43, r),
+    lambda r: rate_thm2(SPEC43, 0.5, r),
+    lambda r: singular_decay_factor(SV43[0], SPEC43.frob_sq, 0.5, r),
+    lambda r: astuple(momentum_linear_region(SPEC43, 0.5, r, 0.2)),
+    lambda r: momentum_accel_region(SPEC43, 0.5, r),
+    lambda r: characteristic_roots(SV43, SPEC43.frob_sq, 0.5, 0.2, r),
+    lambda r: mean_map(A43, 0.5, 0.2, r).matrix(),
+    lambda r: angle_expectation_half(A43, X43, np.zeros(3), r),
+    lambda r: np.append(*enumerate_one_step(A43, A43 @ np.ones(3), X43, XPREV43,
+                                            0.5, 0.2, r)),
+    lambda r: repr(rate_report(SPEC43, 0.5, 0.2, r)),
+], ids=["rate_thm1", "delta1", "rate_thm2", "singular_decay_factor",
+        "momentum_linear_region", "momentum_accel_region", "characteristic_roots",
+        "mean_map", "angle_expectation_half", "enumerate_one_step", "rate_report"])
+def test_theory_runs_a_whole_float_r_as_its_int(oracle):
+    # enumerate_one_step once passed r = 2.0 to itertools.product, a TypeError,
+    # and rate_report kept r = 2.0 in its report
+    assert np.asarray(oracle(2.0)).tobytes() == np.asarray(oracle(2)).tobytes()
 
 
 def test_beta_must_be_finite_and_nonnegative():
@@ -251,6 +281,24 @@ def test_characteristic_roots_match_the_two_branch_formula():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         signs.update(np.sign(disc))
     assert signs == {-1.0, 0.0, 1.0}
+
+
+@pytest.mark.parametrize("beta", [-0.5, math.nan, math.inf])
+def test_characteristic_roots_checks_beta(beta):
+    # a negative or nan beta once returned roots
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        characteristic_roots([1.0], 2.0, 0.5, beta, 1)
+
+
+@pytest.mark.parametrize("frob_sq", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("oracle", [
+    lambda frob_sq: characteristic_roots([1.0], frob_sq, 0.5, 0.1, 1),
+    lambda frob_sq: singular_decay_factor(1.0, frob_sq, 0.5, 1),
+], ids=["characteristic_roots", "singular_decay_factor"])
+def test_scalar_oracles_need_a_finite_positive_frob_sq(oracle, frob_sq):
+    # 0 once divided by zero: a ZeroDivisionError or a numpy warning
+    with pytest.raises(ValueError, match="frob_sq must be finite and positive"):
+        oracle(frob_sq)
 
 
 def test_characteristic_roots_modulus_in_accel_window():
