@@ -380,7 +380,12 @@ def figure_presets(scale: float = 1.0, seed: int = 12345) -> dict:
     """
     if not 0.0 < scale < math.inf:
         raise ConfigError("scale must be positive and finite")
-    dim = lambda value: max(2, int(round(value * scale)))
+
+    def dim(value):
+        if not math.isfinite(value * scale):
+            raise ConfigError("scale is too large: a preset dimension overflows")
+        return max(2, int(round(value * scale)))
+
     sized = lambda source, m, n: ProblemSpec(source=source, m=dim(m), n=dim(n))
     stop12 = lambda budget: StopRule(rse_tol=1e-12, max_row_actions=budget)
     presets = {

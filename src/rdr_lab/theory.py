@@ -20,18 +20,18 @@ from .sampling import _whole
 ENUM_BUDGET = 10 ** 6
 
 
-def _check_alpha(alpha):
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("invalid parameter: alpha must lie in (0, 1)")
-
-
-def _check_beta(beta):
-    if not 0.0 <= beta < math.inf:
-        raise ValueError("invalid parameter: beta must be >= 0")
-
-
 def _check_r(r) -> int:
     return _whole(r, "invalid parameter: r must be a positive integer")
+
+
+def _params(alpha, r, beta=0.0) -> int:
+    """Check the method parameters, alpha, then r, then beta; return r as an int."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("invalid parameter: alpha must lie in (0, 1)")
+    r = _check_r(r)
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("invalid parameter: beta must be >= 0")
+    return r
 
 
 def _check_frob_sq(frob_sq):
@@ -55,8 +55,7 @@ def rate_thm1(spec: SpectralScalars, alpha: float, r: int) -> float:
     frob_sq)**r``; for r = 1 this collapses to ``1 - 4 alpha (1-alpha)
     sigma_min^2 / frob_sq``.
     """
-    _check_alpha(alpha)
-    r = _check_r(r)
+    r = _params(alpha, r)
     return (alpha * alpha + (1.0 - alpha) ** 2
             + 2.0 * alpha * (1.0 - alpha) * _q_min(spec) ** r)
 
@@ -84,7 +83,7 @@ def delta2(spec: SpectralScalars) -> float:
 
 def rate_thm2(spec: SpectralScalars, alpha: float, r: int) -> float:
     """Per-iteration factor for the squared norm of the expected error."""
-    _check_alpha(alpha)
+    r = _params(alpha, r)
     d1 = delta1(spec, r)
     return (1.0 - alpha * (1.0 - d1 ** r)) ** 2
 
@@ -92,8 +91,7 @@ def rate_thm2(spec: SpectralScalars, alpha: float, r: int) -> float:
 def singular_decay_factor(sigma: float, frob_sq: float, alpha: float, r: int) -> float:
     """Exact per-iteration factor of the expected error along one right
     singular direction: ``(1-alpha) + alpha (1 - 2 sigma^2 / frob_sq)**r``."""
-    _check_alpha(alpha)
-    r = _check_r(r)
+    r = _params(alpha, r)
     _check_frob_sq(frob_sq)
     return (1.0 - alpha) + alpha * (1.0 - 2.0 * sigma * sigma / frob_sq) ** r
 
@@ -118,9 +116,7 @@ def momentum_linear_region(spec: SpectralScalars, alpha: float, r: int,
     expected squared error; ``beta_max`` solves ``gamma1 + gamma2 = 1`` in
     beta, so any ``beta < beta_max`` is certified.
     """
-    _check_alpha(alpha)
-    r = _check_r(r)
-    _check_beta(beta)
+    r = _params(alpha, r, beta)
     d2 = delta2(spec)
     base = rate_thm1(spec, alpha, r)
     g1 = base + 2.0 * beta * beta + 3.0 * (1.0 - alpha + alpha * d2 ** r) * beta
@@ -140,7 +136,7 @@ def momentum_accel_region(spec: SpectralScalars, alpha: float, r: int):
     and ``beta in (beta_lo, 1)``, in which case the expected error decays
     like ``beta**k``.
     """
-    _check_alpha(alpha)
+    r = _params(alpha, r)
     denom = 1.0 - _q_max(spec) ** r
     alpha_max = 1.0 if denom <= 0.0 else min(1.0, 1.0 / denom)
     # delta1 <= 1 (delta2 is clamped at 1), so the root is real
@@ -156,9 +152,7 @@ def characteristic_roots(sigmas, frob_sq: float, alpha: float, beta: float, r: i
     ``t**2 - d_i t + beta`` as a complex (len, 2) array.  When the
     discriminant is negative both roots have squared modulus exactly beta.
     """
-    _check_alpha(alpha)
-    r = _check_r(r)
-    _check_beta(beta)
+    r = _params(alpha, r, beta)
     _check_frob_sq(frob_sq)
     sig = np.asarray(sigmas, dtype=np.float64)
     d = (1.0 - alpha + beta) + alpha * (1.0 - 2.0 * sig * sig / frob_sq) ** r
@@ -224,9 +218,7 @@ def _reflection_spectrum(mat, r: int):
 
 def mean_map(A, alpha: float, beta: float, r: int) -> MeanMap:
     """Build the expected-iterate map descriptor for a matrix."""
-    _check_alpha(alpha)
-    r = _check_r(r)
-    _check_beta(beta)
+    r = _params(alpha, r, beta)
     V, eig = _reflection_spectrum(as_matrix(A), r)
     return MeanMap(V=V, decay=(1.0 - alpha + beta) + alpha * eig, beta=beta)
 
@@ -238,9 +230,7 @@ def enumerate_one_step(A, b, x, x_prev, alpha: float, beta: float, r: int):
     of the next iterate, and of its squared distance to the projection of
     ``x`` onto the solution set.  Instances must satisfy ``m**r <= 10**6``.
     """
-    _check_alpha(alpha)
-    r = _check_r(r)
-    _check_beta(beta)
+    r = _params(alpha, r, beta)
     mat = as_matrix(A)
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)

@@ -748,6 +748,13 @@ def test_cli_preset_rejects_scale_that_is_not_finite(scale, capsys):
     assert capsys.readouterr().err == "error: scale must be positive and finite\n"
 
 
+def test_cli_preset_rejects_scale_that_overflows_a_dimension(capsys):
+    # 500 * 1e306 is inf, which once ended in an OverflowError traceback
+    assert cli.main(["preset", "fig-failure", "--scale", "1e306"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: scale is too large: a preset dimension overflows\n"
+
+
 def test_cli_unknown_preset(capsys):
     code = cli.main(["preset", "fig-nope"])
     assert code == cli.EXIT_USAGE

@@ -60,12 +60,42 @@ def test_rate1_in_unit_interval():
                 assert 0.0 < rate_thm1(spec, alpha, r) < 1.0
 
 
+# every oracle on diag(3, 1), where q_max = 1 - 2 * 9 / 10 = -0.8 < 0, so a
+# fractional power of it is complex; each is called as f(alpha, r)
+D31 = np.diag([3.0, 1.0])
+SPEC31 = spectral_scalars(D31)
+X31 = np.array([1.0, 2.0])
+ALPHA_ORACLES = {
+    "rate_thm1": lambda a, r: rate_thm1(SPEC31, a, r),
+    "rate_thm2": lambda a, r: rate_thm2(SPEC31, a, r),
+    "singular_decay_factor": lambda a, r: singular_decay_factor(3.0, SPEC31.frob_sq, a, r),
+    "momentum_linear_region": lambda a, r: momentum_linear_region(SPEC31, a, r, 0.2),
+    "momentum_accel_region": lambda a, r: momentum_accel_region(SPEC31, a, r),
+    "characteristic_roots": lambda a, r: characteristic_roots(
+        [3.0, 1.0], SPEC31.frob_sq, a, 0.2, r),
+    "mean_map": lambda a, r: mean_map(D31, a, 0.2, r),
+    "enumerate_one_step": lambda a, r: enumerate_one_step(D31, X31, X31, 0.0 * X31, a, 0.2, r),
+}
+R_ORACLES = {
+    **ALPHA_ORACLES,
+    "delta1": lambda a, r: delta1(SPEC31, r),
+    "angle_expectation_half": lambda a, r: angle_expectation_half(D31, X31, 0.0 * X31, r),
+}
+ALPHA_MESSAGE = r"invalid parameter: alpha must lie in \(0, 1\)"
+R_MESSAGE = "invalid parameter: r must be a positive integer"
+
+
 def test_rate1_rejects_bad_alpha():
     for alpha in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError, match="invalid parameter"):
             rate_thm1(ID2, alpha, 1)
     with pytest.raises(ValueError, match="invalid parameter"):
         rate_thm1(ID2, 0.5, 0)
+    # the last pair has a bad r too: alpha is checked first
+    for oracle in ALPHA_ORACLES.values():
+        for alpha, r in ((0.0, 2), (1.0, 2), (math.nan, 2), (1.5, 1.5)):
+            with pytest.raises(ValueError, match=ALPHA_MESSAGE):
+                oracle(alpha, r)
 
 
 def test_rate_formulas_reject_r_that_is_not_whole():
@@ -75,6 +105,12 @@ def test_rate_formulas_reject_r_that_is_not_whole():
                      lambda: mean_map(np.eye(2), 0.5, 0.0, r)):
             with pytest.raises(ValueError, match="r must be a positive integer"):
                 call()
+    # momentum_accel_region once raised a TypeError at 1.5 (a complex power of
+    # q_max compared with 0.0) and at "2" (a float to the power of a str)
+    for oracle in R_ORACLES.values():
+        for r in (1.5, math.inf, math.nan, "2"):
+            with pytest.raises(ValueError, match=R_MESSAGE):
+                oracle(0.5, r)
 
 
 # a 4x3 system for the oracles below: its spectrum, entries and a start pair
