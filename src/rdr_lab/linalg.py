@@ -19,7 +19,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class Matrix:
-    """Dense row-major matrix with cached squared row and column norms.
+    """Dense row-major matrix with cached squared norms and unit rows and columns.
 
     Entries are frozen after construction so cached norms and the SVD that
     :func:`svd_small` stores on the instance stay valid, and the instance can
@@ -40,6 +40,8 @@ class Matrix:
         self.row_norms_sq = np.einsum("ij,ij->i", arr, arr)
         self.row_norms_sq.flags.writeable = False
         self.frob_sq = float(self.row_norms_sq.sum())
+        if not np.isfinite(self.frob_sq):
+            raise ValueError("invalid matrix: squared norms overflow")
         self.zero_rows = [int(i) for i in np.flatnonzero(self.row_norms_sq == 0.0)]
         self._svd = None
 
@@ -55,12 +57,24 @@ class Matrix:
         c.flags.writeable = False
         return c
 
+    # each row, and each column as a row of Aᵀ, over its norm
+    unit_rows = cached_property(lambda self: _unit(self.entries, self.row_norms_sq))
+    unit_columns = cached_property(lambda self: _unit(self.columns, self.col_norms_sq))
+
     @property
     def shape(self):
         return (self.m, self.n)
 
     def __repr__(self):
         return f"Matrix({self.m}x{self.n}, frob_sq={self.frob_sq:.6g})"
+
+
+def _unit(rows, norms_sq):
+    # a read-only copy of rows, each over its norm; a zero row stays zero
+    u = np.divide(rows, np.sqrt(norms_sq)[:, None], out=np.zeros(rows.shape),
+                  where=(norms_sq > 0.0)[:, None])
+    u.flags.writeable = False
+    return u
 
 
 @dataclass(frozen=True)

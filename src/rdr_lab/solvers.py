@@ -186,6 +186,8 @@ class _Lanes:
             setattr(self, name, col if col is None or name in ("r", "penalty")
                     else col.repeat(problem.A.n, 1))
         self.stay = None if self.alpha is None else 1.0 - self.alpha
+        if self.beta is not None:  # the mean map's weight on e, 1 - alpha + beta
+            self.stay += self.beta
         self.samplers = [getattr(problem, f"{name}_sampler") for name in method.samplers]
         # a sampled method draws one index per row action
         self.per = np.array([method.per(c, problem.A) for c in configs])
@@ -243,9 +245,10 @@ class _Lanes:
 
 # Updates: one iteration of every lane, given the indices it drew, on errors
 # (a·x - b_i is a·e: only rek's z_aux, which starts at b, holds b).  Dots are
-# np.vecdot over rows gathered from A or Aᵀ (A.columns), which sums each lane
-# as ndarray.dot does (both call the BLAS ddot), and each elementwise operation
-# keeps the order of the one-trial formula, so no lane's bits depend on others.
+# np.vecdot over rows gathered from A, Aᵀ (A.columns) or their unit tables,
+# which sums each lane as ndarray.dot does (both call the BLAS ddot), and each
+# elementwise operation keeps the order of the one-trial formula, so no lane's
+# bits depend on others.
 # Each but rp-admm's, whose batches are one sweep, puts its results in new
 # arrays (``e - a``, not ``e -= a``: the same IEEE operation), never in a lane
 # array that a batch's snapshot may hold.
@@ -253,18 +256,17 @@ class _Lanes:
 
 def _dr_update(lanes: _Lanes, problem: Problem, rows):
     """Reflect each lane through its rows in order (one index for all lanes,
-    or indices of the leading lanes), then average with weight alpha and add
-    beta times the last move."""
-    A, rn = problem.A.entries, problem.A.row_norms_sq
+    or indices of the leading lanes), then average with weights 1 - alpha +
+    beta on e, alpha on the reflection and -beta on the previous error."""
+    U = problem.A.unit_rows
     e = z = lanes.e
     for j in rows:
         zj = z if isinstance(j, int) else z[:len(j)]
-        a = A.take(j, 0)
-        c = np.vecdot(a, zj)
-        f = ((c + c) / rn[j])[:, None]  # c + c is 2.0 * c, bit for bit
-        # the gathered rows of an index array are scaled in place; one row
-        # of all lanes is scaled into a new block
-        step = np.multiply(a, f, out=a if a.ndim == 2 else None)
+        q = U.take(j, 0)
+        c = np.vecdot(q, zj, keepdims=True)
+        # z - (c + c) q, c + c being 2.0 * c bit for bit; the gathered rows of an
+        # index array are scaled in place, one row of all lanes into a new block
+        step = np.multiply(q, c + c, out=q if q.ndim == 2 else None)
         if z is e:  # the first reflection covers every lane
             z = e - step
         else:
@@ -272,9 +274,7 @@ def _dr_update(lanes: _Lanes, problem: Problem, rows):
     out = e * lanes.stay
     out += z * lanes.alpha
     if lanes.beta is not None:
-        move = e - lanes.e_prev
-        move *= lanes.beta
-        out += move
+        out -= lanes.e_prev * lanes.beta
         lanes.e_prev = e
     lanes.e, lanes.z_last = out, z
     lanes.k += 1
@@ -285,22 +285,25 @@ def _cyclic_dr(lanes: _Lanes, problem: Problem, drawn):
     _dr_update(lanes, problem, (i, lanes.cyclic_cursor))
 
 
-def _project(lanes: _Lanes, problem: Problem, i, shift=None):
-    # each lane onto its row i of A e = 0, moved by shift to a·e = -shift
-    a = problem.A.entries.take(i, 0)
-    c = np.vecdot(a, lanes.e)
-    if shift is not None:
-        c += shift
-    a *= (c / problem.A.row_norms_sq[i])[:, None]
-    lanes.e = lanes.e - a
+def _project(lanes: _Lanes, problem: Problem, i):
+    # each lane onto its row i of A e = 0, along the unit row
+    q = problem.A.unit_rows.take(i, 0)
+    q *= np.vecdot(q, lanes.e, keepdims=True)
+    lanes.e = lanes.e - q
     lanes.k += 1
 
 
 def _rek_update(lanes: _Lanes, problem: Problem, drawn):
+    # z_aux less its part along unit column j, then e onto a·e = -z_i
     j, i = drawn.T
-    col, z = problem.A.columns.take(j, 0), lanes.z_aux
-    lanes.z_aux = z = z - col * (np.vecdot(col, z) / problem.A.col_norms_sq[j])[:, None]
-    _project(lanes, problem, i, z.reshape(-1)[lanes.z_at + i])
+    q, z = problem.A.unit_columns.take(j, 0), lanes.z_aux
+    q *= np.vecdot(q, z, keepdims=True)
+    lanes.z_aux = z = z - q
+    a = problem.A.entries.take(i, 0)
+    a *= ((np.vecdot(a, lanes.e) + z.reshape(-1)[lanes.z_at + i])
+          / problem.A.row_norms_sq[i])[:, None]
+    lanes.e = lanes.e - a
+    lanes.k += 1
 
 
 def _residuals(problem: Problem, e) -> np.ndarray:

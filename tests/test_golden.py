@@ -17,8 +17,11 @@ The digests were computed with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64,
 DYNAMIC_ARCH build), Python 3.11.  Another BLAS build may sum dot products in
 another order and change the last bits of the CSVs.  ``run`` advances all
 trials of a method as one block and takes each lane's dots with ``np.vecdot``
-over contiguous rows gathered from A or from its transpose; the digests rest on
-that summing each row exactly as ``ndarray.dot`` does, which
+over contiguous rows gathered from A or from its transpose; the reflections,
+rk's projections and rek's column steps gather their rows from the unit
+tables ``Matrix.unit_rows`` and ``Matrix.unit_columns``, each row of A or Aᵀ
+over its norm.  The digests rest on those dots summing each row exactly as
+``ndarray.dot`` does, which
 ``tests/test_solvers.py::test_lane_dot_matches_ndarray_dot`` checks by name.  The synthetic digests
 take ``x0_star`` from LAPACK's SVD of the problem matrix; they read the same
 with one and with two BLAS threads.
@@ -51,24 +54,24 @@ R_SWEEP_RS = (1, 2, 7, 20)
 # r values of fig-direction kept, one trial each: the r = 1 lane runs alone,
 # on the adversarial source, after the other lanes spend their budgets
 DIRECTION_RS = (1, 2, 20)
-DIRECTION_SUMMARY = "deef7b0df4c8918465ae7dd35ead142d8c9f014058bdb366702336f4e3c15fad"
+DIRECTION_SUMMARY = "b49d35ca1fdd0c4c59e0cbf7ef8831d3baa78b68a97b7b7dac486983afb34b38"
 
 GOLDEN = {
     "fig-failure": (
-        "11d38defc6ab1c41db1a1c20d6c578efc2c6147e14026008c424a17400ecd2e8",
-        "b8636c7bdf076fef07112f3fe702c3da545c2f29ccaaaef4ab2f7e14b4549dd7"),
+        "759f7e996a2a9f3f8a6d19fe96f362ee8dddf2cedaeb4bae65215273d999996b",
+        "7b1815dafbb358d2d48a5c3a789d0fef6a2beb4b56c6cf18ac4a5cb6ccc47574"),
     "fig-baselines": (
-        "5722356f2ca6a37d6d5d69ba457e01918deceb30d4536e9ad050282eaa1c5744",
-        "13e6afce03a119e276397a719af97e2baf13334b9d7c18645462c1c1f9527eb9"),
+        "f12027ac0fab84156390c85556e2278c21f5d922213b1b20a216c8c65200f6c2",
+        "45e032816f083ea8aaa6d54932732ee87eba88a321e67fae344f915c4844c78f"),
     "fig-vs-cyclic": (
-        "80910730f7527b3a17e2265bc53ccb98e6fce34f041d30afcce3004eb0a135f8",
-        "60d0728a772951a13b487861bcbe9710080ac087178023ab48b10cc64db29748"),
+        "8495dc8c55360a68c4d46e5948ce4c398e79c3012327f39f8e0fc0a56d5c116b",
+        "2fdb6b7c5fed77d4486b057e6498b1ff38ae9abc44059d2ec7d7fd98cbce0a4e"),
     "fig-r-sweep": (
-        "2db265f001d7f0ae948bc28ce48f03493d32364e1997848f34d6ebb0de5c7ac2",
-        "e351075cbffdf35d18d43d0826c8e3310fc3cdca6cfa1564f1180b2c6e4a4064"),
+        "86c03d5057154a90cdd0d188a0d9065b0786a71a9cbdca6055cada68d60d6b88",
+        "4bb318082c7b8d4111381b8ea047fb1fbacae0954d2c9506902d2b13295fccf2"),
     "fig-param-sweep": (
-        "5df82f388e797e9362edcab051d6809b2845be22fa1dcfa3db2a2b753db01e4d",
-        "5c31ae8eef2ee0cd21420385d7328a6cf69e19b4a16fbe014b24067fcefd405f"),
+        "f7ae4d95a99b41e1daaabceddd3f7fbd67d6e41081e3e66bbd05a5482a180a8f",
+        "5897604d3124eb79bf6c984788e7b4eb789719620eee6d0e31c7bb4dcf3a54b5"),
 }
 
 

@@ -779,6 +779,21 @@ def test_cli_rates_rejected_problem(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["rates", "run"])
+def test_cli_matrix_whose_squared_norms_overflow(tmp_path, capsys, command):
+    # finite 1e160 entries: rates once ended in an OverflowError traceback,
+    # and run blamed the sampler weights
+    mtx = tmp_path / "huge.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "3 2 3\n1 1 1e160\n2 2 1e160\n3 1 1e160\n")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"[problem]\nsource = mtx\npath = {mtx}\n")
+    code = cli.main([command, str(cfg), "--out", str(tmp_path / "out")] if command == "run"
+                    else [command, str(cfg)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: invalid matrix: squared norms overflow\n"
+
+
 @pytest.mark.parametrize("run_keys, message", [
     ("rse_tol = 0", "rse_tol must be positive"),
     ("rse_tol = none\nmax_row_actions = none", "no finite stopping bound"),

@@ -233,10 +233,39 @@ def test_as_matrix_keeps_a_matrix_and_checks_an_array():
     assert as_matrix(mat) is mat
     assert as_matrix([[1.0, 2.0]]).shape == (1, 2)
     for bad, msg in ((np.zeros(3), "expected a nonempty 2-d array"),
-                     ([[np.nan]], "non-finite entries")):
+                     ([[np.nan]], "non-finite entries"),
+                     (np.eye(2) * 1e160, "squared norms overflow")):
         for fn in (as_matrix, svd_small, spectral_scalars):
             with pytest.raises(ValueError, match="invalid matrix: " + msg):
                 fn(bad)
+
+
+def test_unit_tables_are_read_only_unit_rows_and_columns():
+    # row 2 and column 3 are zero; the columns span six orders of magnitude
+    arr = np.random.default_rng(4).standard_normal((7, 5)) * np.logspace(-3, 3, 5)
+    arr[2] = 0.0
+    arr[:, 3] = 0.0
+    mat = Matrix(arr)
+    for table, rows in ((mat.unit_rows, arr), (mat.unit_columns, arr.T)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        live = np.any(rows != 0.0, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", table, table))
+        assert np.all(np.abs(norms[live] - 1.0) <= 2 * np.finfo(float).eps)
+        np.testing.assert_array_equal(table[~live], 0.0)  # no RuntimeWarning
+        # each row a positive multiple of its row of A
+        np.testing.assert_allclose(table[live] * np.linalg.norm(rows[live], axis=1)[:, None],
+                                   rows[live], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("arr", [np.eye(3), np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                                                      [-1.0, 0.0, 0.0]])],
+                         ids=["identity", "signed-permutation"])
+def test_unit_tables_of_unit_rows_are_the_rows_bit_for_bit(arr):
+    mat = Matrix(arr)
+    assert mat.unit_rows.tobytes() == mat.entries.tobytes()
+    assert mat.unit_columns.tobytes() == mat.columns.tobytes()
 
 
 # ---------------------------------------------------------------------------

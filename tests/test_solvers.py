@@ -497,8 +497,8 @@ def test_mixed_momentum_block_keeps_signed_zero():
     # a lane of a block with and without momentum keeps its lone bytes.
     # Column 1 is zero and e0[1] = x0[1] - x0_star[1] = -0.0 - 0.0 = -0.0;
     # e[0] stays positive, so every reflection subtracts +0.0 there and rrdr
-    # keeps -0.0, while mrrdr adds beta * (e - e_prev) at every beta, which
-    # turns -0.0 into +0.0
+    # keeps -0.0, while mrrdr subtracts beta * e_prev at every beta, which is
+    # -0.0 there, and -0.0 - -0.0 turns that coordinate into +0.0
     A = Matrix([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
     x_star = np.array([1.0, 0.0])
     problem = Problem(A=A, b=A.entries @ x_star, x_star=x_star,
@@ -841,27 +841,32 @@ def test_run_start_at_solution():
 
 
 def test_run_identity_matches_hand_iteration():
-    problem = _identity_problem(n=2, seed=12)
-    cfg = SolverConfig(method="rrdr", r=1, alpha=0.5, seed=9, trace_every=1,
-                       stop=StopRule(rse_tol=1e-12, max_row_actions=100))
-    (res,) = run(problem, cfg)
-    assert res.status == "converged"
-    assert res.row_actions <= 80
+    # rrdr, and rk, whose unit rows are the rows of A bit for bit here
+    for method in ("rrdr", "rk"):
+        problem = _identity_problem(n=2, seed=12)
+        cfg = SolverConfig(method=method, r=1, alpha=0.5, seed=9, trace_every=1,
+                           stop=StopRule(rse_tol=1e-12, max_row_actions=100))
+        (res,) = run(problem, cfg)
+        assert res.status == "converged"
+        assert res.row_actions <= 80
 
-    # replay the trajectory by hand with the same sampled rows
-    rng = Rng(9)
-    x = np.zeros(2)
-    den = float(problem.x0_star @ problem.x0_star)
-    hand = [1.0]
-    for rec in res.records[1:]:
-        while len(hand) - 1 < rec.k:
-            j = int(problem.row_sampler.sample_many(rng, 1)[0])
-            a = problem.A.entries[j]
-            z = x - (2.0 * (a @ x - problem.b[j]) / problem.A.row_norms_sq[j]) * a
-            x = (1.0 - 0.5) * x + 0.5 * z
-            d = x - problem.x0_star
-            hand.append(float(d @ d) / den)
-        assert rec.rse == hand[rec.k]
+        # replay the trajectory by hand with the same sampled rows
+        rng = Rng(9)
+        x = np.zeros(2)
+        den = float(problem.x0_star @ problem.x0_star)
+        hand = [1.0]
+        for rec in res.records[1:]:
+            while len(hand) - 1 < rec.k:
+                j = int(problem.row_sampler.sample_many(rng, 1)[0])
+                a = problem.A.entries[j]
+                if method == "rk":
+                    x = x - ((a @ x - problem.b[j]) / problem.A.row_norms_sq[j]) * a
+                else:
+                    z = x - (2.0 * (a @ x - problem.b[j]) / problem.A.row_norms_sq[j]) * a
+                    x = (1.0 - 0.5) * x + 0.5 * z
+                d = x - problem.x0_star
+                hand.append(float(d @ d) / den)
+            assert rec.rse == hand[rec.k], method
 
 
 def test_run_trace_cadence():
